@@ -5,12 +5,15 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"eccparity/internal/sim"
 )
 
 func main() {
+	ctx := context.Background()
 	schemes := []string{"chipkill36", "chipkill18", "lotecc9", "multiecc", "lotecc5", "lotecc5+parity", "raim", "raim+parity"}
 	workloads := []string{"mcf", "streamcluster"}
 
@@ -19,7 +22,10 @@ func main() {
 		"workload", "scheme", "EPI(pJ)", "dyn(pJ)", "bg(pJ)", "IPC", "acc/kinstr")
 	for _, wl := range workloads {
 		for _, key := range schemes {
-			r := sim.Run(sim.DefaultConfig(key, sim.QuadEq, wl))
+			r, err := sim.RunContext(ctx, sim.DefaultConfig(key, sim.QuadEq, wl))
+			if err != nil {
+				log.Fatal(err)
+			}
 			fmt.Printf("%-10s %-30s %9.0f %9.0f %9.0f %7.2f %10.1f\n",
 				wl, sim.SchemeByKey(key).Display, r.EPI, r.DynamicEPI, r.BackgroundEPI,
 				r.IPC, 1000*r.AccessesPerInstr)
@@ -29,9 +35,12 @@ func main() {
 
 	// Headline numbers in the paper's format.
 	fmt.Println("EPI reductions of LOT-ECC5 + ECC Parity (cf. Fig. 10):")
-	ev := sim.NewEvaluation(sim.QuadEq,
+	ev, err := sim.EvaluationContext(ctx, sim.QuadEq,
 		[]string{"chipkill36", "chipkill18", "lotecc9", "multiecc", "lotecc5", "lotecc5+parity"},
 		workloads)
+	if err != nil {
+		log.Fatal(err)
+	}
 	cmp := ev.Fig10EPI()
 	for _, row := range cmp.Rows {
 		fmt.Printf("  %-14s", row.Workload)

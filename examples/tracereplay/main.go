@@ -6,6 +6,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -44,10 +45,18 @@ func main() {
 		return out
 	}
 
+	run := func(cfg sim.Config) sim.Result {
+		r, err := sim.RunContext(context.Background(), cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return r
+	}
+
 	fmt.Println("2. Live generator vs trace replay (must be identical):")
-	live := sim.Run(cfg)
+	live := run(cfg)
 	cfg.Sources = sources()
-	replayed := sim.Run(cfg)
+	replayed := run(cfg)
 	fmt.Printf("   live:   EPI %.1f pJ, IPC %.3f\n", live.EPI, live.IPC)
 	fmt.Printf("   replay: EPI %.1f pJ, IPC %.3f (identical: %v)\n",
 		replayed.EPI, replayed.IPC, live.EPI == replayed.EPI && live.IPC == replayed.IPC)
@@ -57,7 +66,7 @@ func main() {
 	base.MeasureCycles = cfg.MeasureCycles
 	base.WarmupAccesses = cfg.WarmupAccesses
 	base.Sources = sources()
-	b := sim.Run(base)
+	b := run(base)
 	fmt.Printf("   chipkill36: EPI %.1f pJ | LOT-ECC5+Parity: EPI %.1f pJ → %.1f%% reduction\n",
 		b.EPI, replayed.EPI, 100*(b.EPI-replayed.EPI)/b.EPI)
 }

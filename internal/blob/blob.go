@@ -19,8 +19,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
-	"regexp"
-	"strings"
 )
 
 // Errors a Backend reports. Anything else is a transport/IO failure the
@@ -72,37 +70,51 @@ type RepairStatter interface {
 	RepairStats() RepairStats
 }
 
-// validKey matches the content-address namespace: exactly 64 hex chars.
-var validKey = regexp.MustCompile(`^[0-9a-f]{64}$`)
-
-// ValidKey reports whether key is a well-formed content address.
-func ValidKey(key string) bool { return validKey.MatchString(key) }
+// ValidKey reports whether key is a well-formed content address: exactly
+// 64 lowercase hex chars.
+func ValidKey(key string) bool {
+	if len(key) != 64 {
+		return false
+	}
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; !('0' <= c && c <= '9' || 'a' <= c && c <= 'f') {
+			return false
+		}
+	}
+	return true
+}
 
 // frameMagic opens every stored blob; the version byte is part of it, so
 // bumping the string orphans (and lazily recomputes) the whole corpus.
 const frameMagic = "eccbl1 "
 
+// FrameOverhead is what a frame adds to its payload: the magic, the 64-hex
+// SHA-256 and a newline. A stored blob is len(payload)+FrameOverhead bytes.
+const FrameOverhead = len(frameMagic) + 2*sha256.Size + 1
+
 // EncodeFrame wraps payload in the checksummed wire/disk format shared by
 // every backend: magic, SHA-256 hex of the payload, newline, payload.
 func EncodeFrame(payload []byte) []byte {
 	sum := sha256.Sum256(payload)
-	out := make([]byte, 0, len(frameMagic)+64+1+len(payload))
-	out = append(out, frameMagic...)
-	out = append(out, hex.EncodeToString(sum[:])...)
-	out = append(out, '\n')
+	out := make([]byte, FrameOverhead, FrameOverhead+len(payload))
+	copy(out, frameMagic)
+	hex.Encode(out[len(frameMagic):], sum[:])
+	out[FrameOverhead-1] = '\n'
 	return append(out, payload...)
 }
 
 // DecodeFrame verifies a framed blob and returns its payload, or ok=false
-// for anything malformed: wrong magic, short file, checksum mismatch.
+// for anything malformed: wrong magic, short file, checksum mismatch. The
+// payload aliases b.
 func DecodeFrame(b []byte) ([]byte, bool) {
-	rest, ok := strings.CutPrefix(string(b), frameMagic)
-	if !ok || len(rest) < 65 || rest[64] != '\n' {
+	if len(b) < FrameOverhead || string(b[:len(frameMagic)]) != frameMagic || b[FrameOverhead-1] != '\n' {
 		return nil, false
 	}
-	payload := []byte(rest[65:])
+	payload := b[FrameOverhead:]
 	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != rest[:64] {
+	var want [2 * sha256.Size]byte
+	hex.Encode(want[:], sum[:])
+	if string(want[:]) != string(b[len(frameMagic):FrameOverhead-1]) {
 		return nil, false
 	}
 	return payload, true

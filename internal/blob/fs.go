@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"time"
 )
 
 // FS is the filesystem Backend: one framed file per key under a root
@@ -28,47 +29,105 @@ type FS struct {
 	corruptReadHook func(key string)
 }
 
-// NewFS opens (creating if needed) a filesystem backend rooted at dir and
-// sweeps tmp orphans: a crash between CreateTemp and the rename leaves a
-// "<key>.tmp*" file behind, and nothing else would ever delete it.
-func NewFS(dir string) (*FS, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("blob: empty backend directory")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("blob: %w", err)
-	}
-	f := &FS{root: dir}
-	f.sweepOrphans()
-	return f, nil
+// Entry is one live blob found by OpenFS: its key, its framed size on disk
+// and its modification time.
+type Entry struct {
+	Key     string
+	Size    int64
+	ModTime time.Time
 }
 
-// sweepOrphans removes leftover tmp files from crashed writes, in the root
-// (where older versions created them) and in the fan-out subdirectories
-// (where Put creates them now). Best-effort: an orphan that cannot be
-// removed is left for the next open.
-func (f *FS) sweepOrphans() {
-	sweepDir := func(dir string) {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			return
-		}
-		for _, e := range entries {
-			if !e.IsDir() && strings.Contains(e.Name(), ".tmp") {
-				os.Remove(filepath.Join(dir, e.Name()))
+// NewFS opens (creating if needed) a filesystem backend rooted at dir and
+// sweeps what crashes and older layouts left behind (see walk).
+func NewFS(dir string) (*FS, error) {
+	f, _, err := openFS(dir, false)
+	return f, err
+}
+
+// OpenFS is NewFS that also returns every live blob with its framed size
+// and mtime, gathered by the same walk that sweeps, so a caller that
+// indexes the corpus (the result cache's byte budget) needs no second pass.
+func OpenFS(dir string) (*FS, []Entry, error) {
+	return openFS(dir, true)
+}
+
+func openFS(dir string, index bool) (*FS, []Entry, error) {
+	if dir == "" {
+		return nil, nil, fmt.Errorf("blob: empty backend directory")
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, nil, fmt.Errorf("blob: %w", err)
+	}
+	f := &FS{root: dir}
+	var entries []Entry
+	var visit func(key string, d fs.DirEntry)
+	if index {
+		visit = func(key string, d fs.DirEntry) {
+			if info, err := d.Info(); err == nil {
+				entries = append(entries, Entry{Key: key, Size: info.Size(), ModTime: info.ModTime()})
 			}
 		}
 	}
-	sweepDir(f.root)
+	if err := f.walk(context.Background(), true, visit); err != nil {
+		return nil, nil, err
+	}
+	return f, entries, nil
+}
+
+// walk is the one pass over the store — the root, then each fan-out
+// directory — and calls visit (if non-nil) for every live blob. With sweep
+// set it also removes what nothing else would ever delete: "<key>.tmp*"
+// orphans of writes that crashed between CreateTemp and the rename, and
+// the flat "<key>.json" entries earlier versions of the result cache kept
+// in the root (they sit outside any byte budget, and their results simply
+// recompute). Sweeping is only safe at open: at any other time a tmp file
+// may belong to a Put in flight. It is best-effort: a file that cannot be
+// removed is left for the next open.
+func (f *FS) walk(ctx context.Context, sweep bool, visit func(key string, d fs.DirEntry)) error {
 	dirs, err := os.ReadDir(f.root)
 	if err != nil {
-		return
+		return fmt.Errorf("blob: %w", err)
 	}
 	for _, d := range dirs {
-		if d.IsDir() && len(d.Name()) == 2 {
-			sweepDir(filepath.Join(f.root, d.Name()))
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		name := d.Name()
+		if !d.IsDir() {
+			if sweep && (strings.Contains(name, ".tmp") || legacyEntry(name)) {
+				os.Remove(filepath.Join(f.root, name))
+			}
+			continue
+		}
+		if len(name) != 2 {
+			continue
+		}
+		sub := filepath.Join(f.root, name)
+		entries, err := os.ReadDir(sub)
+		if err != nil {
+			continue
+		}
+		for _, e := range entries {
+			key, ok := strings.CutSuffix(e.Name(), ".blob")
+			switch {
+			case e.IsDir():
+			case ok && ValidKey(key) && strings.HasPrefix(key, name):
+				if visit != nil {
+					visit(key, e)
+				}
+			case sweep && strings.Contains(e.Name(), ".tmp"):
+				os.Remove(filepath.Join(sub, e.Name()))
+			}
 		}
 	}
+	return nil
+}
+
+// legacyEntry reports whether name is a flat "<key>.json" result-cache
+// entry from before the cache stored its results in this layout.
+func legacyEntry(name string) bool {
+	key, ok := strings.CutSuffix(name, ".json")
+	return ok && ValidKey(key)
 }
 
 // path fans key out under root: <root>/<key[0:2]>/<key>.blob.
@@ -143,12 +202,15 @@ func (f *FS) Get(ctx context.Context, key string) ([]byte, error) {
 		file.Close()
 		return nil, fmt.Errorf("blob: %w", err)
 	}
-	b, err := io.ReadAll(file)
+	// Read exactly the size the handle reports: a file that shrank under
+	// the read is torn, and fails the frame check like any other.
+	b := make([]byte, readInfo.Size())
+	n, err := io.ReadFull(file, b)
 	file.Close()
-	if err != nil {
+	if err != nil && err != io.ErrUnexpectedEOF {
 		return nil, fmt.Errorf("blob: %w", err)
 	}
-	payload, ok := DecodeFrame(b)
+	payload, ok := DecodeFrame(b[:n])
 	if !ok {
 		if f.corruptReadHook != nil {
 			f.corruptReadHook(key)
@@ -188,30 +250,12 @@ func (f *FS) Delete(ctx context.Context, key string) error {
 }
 
 // List implements Backend: every well-formed key found under the fan-out
-// directories. Tmp orphans and stray files are skipped, not errors.
+// directories. Tmp files and stray files are skipped, not errors.
 func (f *FS) List(ctx context.Context) ([]string, error) {
 	var keys []string
-	dirs, err := os.ReadDir(f.root)
+	err := f.walk(ctx, false, func(key string, _ fs.DirEntry) { keys = append(keys, key) })
 	if err != nil {
-		return nil, fmt.Errorf("blob: %w", err)
-	}
-	for _, d := range dirs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if !d.IsDir() || len(d.Name()) != 2 {
-			continue
-		}
-		entries, err := os.ReadDir(filepath.Join(f.root, d.Name()))
-		if err != nil {
-			continue
-		}
-		for _, e := range entries {
-			key, ok := strings.CutSuffix(e.Name(), ".blob")
-			if ok && ValidKey(key) && strings.HasPrefix(key, d.Name()) {
-				keys = append(keys, key)
-			}
-		}
+		return nil, err
 	}
 	return keys, nil
 }

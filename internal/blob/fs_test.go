@@ -75,10 +75,12 @@ func TestCorruptFrameDetectedAndDeleted(t *testing.T) {
 	dir := t.TempDir()
 	fs, _ := NewFS(dir)
 	cases := map[string][]byte{
-		key("truncated"): EncodeFrame([]byte("the full payload"))[:20],
-		key("bitflip"):   flipLastByte(EncodeFrame([]byte("the full payload"))),
-		key("garbage"):   []byte("not a frame at all"),
-		key("badmagic"):  append([]byte("xxxxx1 "), EncodeFrame([]byte("p"))[7:]...),
+		key("truncated"):  EncodeFrame([]byte("the full payload"))[:20],
+		key("bitflip"):    flipLastByte(EncodeFrame([]byte("the full payload"))),
+		key("garbage"):    []byte("not a frame at all"),
+		key("empty"):      {},
+		key("headeronly"): EncodeFrame([]byte("p"))[:FrameOverhead],
+		key("badmagic"):   append([]byte("xxxxx1 "), EncodeFrame([]byte("p"))[7:]...),
 	}
 	for name, data := range cases {
 		p := filepath.Join(dir, name[:2], name+".blob")
@@ -97,6 +99,35 @@ func TestCorruptFrameDetectedAndDeleted(t *testing.T) {
 		// Second read: the corpse is gone, so it's a plain miss.
 		if _, err := fs.Get(ctx, name); !errors.Is(err, ErrNotFound) {
 			t.Errorf("Get(%s) after delete = %v, want ErrNotFound", name, err)
+		}
+	}
+}
+
+// TestFrameRoundTrip: every payload survives a frame round trip, and
+// nothing that is not a well-formed frame decodes.
+func TestFrameRoundTrip(t *testing.T) {
+	for _, payload := range [][]byte{nil, {}, []byte("a"), bytes.Repeat([]byte{0}, 1000)} {
+		f := EncodeFrame(payload)
+		if len(f) != len(payload)+FrameOverhead {
+			t.Errorf("%d-byte payload framed to %d bytes, want +%d", len(payload), len(f), FrameOverhead)
+		}
+		got, ok := DecodeFrame(f)
+		if !ok || !bytes.Equal(got, payload) {
+			t.Fatalf("round trip failed for %d-byte payload", len(payload))
+		}
+	}
+	upper := EncodeFrame([]byte("p"))
+	copy(upper[len(frameMagic):], strings.ToUpper(string(upper[len(frameMagic):FrameOverhead-1])))
+	for name, b := range map[string][]byte{
+		"nil":          nil,
+		"empty":        {},
+		"garbage":      []byte("garbage"),
+		"short header": EncodeFrame(nil)[:FrameOverhead-1],
+		"no newline":   append(EncodeFrame(nil)[:FrameOverhead-1], ' '),
+		"upper hex":    upper,
+	} {
+		if _, ok := DecodeFrame(b); ok {
+			t.Errorf("DecodeFrame accepted %s", name)
 		}
 	}
 }
@@ -150,6 +181,60 @@ func TestNewFSSweepsTmpOrphans(t *testing.T) {
 	}
 	if got, err := fs0.Get(context.Background(), k); err != nil || string(got) != "keep me" {
 		t.Fatalf("real blob damaged by sweep: %q, %v", got, err)
+	}
+}
+
+// OpenFS's one walk returns every live blob with its framed size and
+// sweeps crash and legacy leftovers; List walks the same tree but sweeps
+// nothing, because at run time a tmp file may be a Put in flight.
+func TestOpenFSIndexesAndSweeps(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	fs0, err := NewFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := map[string]int64{}
+	for _, p := range []string{"a", "bb", "ccc"} {
+		k := key(p)
+		if err := fs0.Put(ctx, k, []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+		sizes[k] = int64(len(p) + FrameOverhead)
+	}
+	k := key("a")
+	inFlight := filepath.Join(dir, k[:2], k+".tmp1")
+	legacy := filepath.Join(dir, key("old")+".json")
+	for _, p := range []string{inFlight, legacy} {
+		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := fs0.List(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{inFlight, legacy} {
+		if _, err := os.Stat(p); err != nil {
+			t.Fatalf("List removed %s: %v", p, err)
+		}
+	}
+
+	_, entries, err := OpenFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(sizes) {
+		t.Fatalf("OpenFS entries = %+v, want %d", entries, len(sizes))
+	}
+	for _, e := range entries {
+		if want, ok := sizes[e.Key]; !ok || e.Size != want || e.ModTime.IsZero() {
+			t.Errorf("entry %+v: want size %d", e, want)
+		}
+	}
+	for _, p := range []string{inFlight, legacy} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("OpenFS left %s: %v", p, err)
+		}
 	}
 }
 

@@ -281,24 +281,14 @@ type EOLResult struct {
 	Fractions    []float64
 }
 
-// SimulateEOL runs trials independent 7-year (or custom-horizon) system
-// lifetimes and reports the fraction of memory whose bank pairs were marked
-// faulty — i.e. ended up with the actual ECC correction bits stored in
-// memory rather than ECC parities. Trials fan out over at most workers
+// SimulateEOLContext runs trials independent 7-year (or custom-horizon)
+// system lifetimes and reports the fraction of memory whose bank pairs were
+// marked faulty — i.e. ended up with the actual ECC correction bits stored
+// in memory rather than ECC parities. Trials fan out over at most workers
 // goroutines (≤0 means NumCPU); each trial's RNG derives from TrialSeed, so
-// the result is bit-identical at any worker count. It is the uninterruptible
-// form of SimulateEOLContext.
-func SimulateEOL(topo Topology, rates Rates, hours float64, trials int, seed int64, workers int) EOLResult {
-	res, err := SimulateEOLContext(context.Background(), topo, rates, hours, trials, seed, workers)
-	if err != nil {
-		panic(err) // Background is never canceled
-	}
-	return res
-}
-
-// SimulateEOLContext is SimulateEOL with cancellation: the trial pool polls
-// ctx between trials and returns ctx's error once canceled, discarding any
-// partial campaign. A completed campaign is byte-identical to SimulateEOL.
+// the result is bit-identical at any worker count. The trial pool polls ctx
+// between trials and returns ctx's error once canceled, discarding any
+// partial campaign.
 func SimulateEOLContext(ctx context.Context, topo Topology, rates Rates, hours float64, trials int, seed int64, workers int) (EOLResult, error) {
 	if trials <= 0 {
 		return EOLResult{}, nil
@@ -339,23 +329,12 @@ func SimulateEOLContext(ctx context.Context, topo Topology, rates Rates, hours f
 	}, nil
 }
 
-// MeasureChannelFaultGaps runs a Monte Carlo estimate of the Fig. 2
+// MeasureChannelFaultGapsContext runs a Monte Carlo estimate of the Fig. 2
 // quantity: the mean time between consecutive faults in different channels.
 // Trials fan out over at most workers goroutines (≤0 means NumCPU);
 // per-trial partial sums are reduced in trial order so the result is
-// bit-identical at any worker count. It is the uninterruptible form of
-// MeasureChannelFaultGapsContext.
-func MeasureChannelFaultGaps(fit float64, topo Topology, trials int, seed int64, workers int) float64 {
-	v, err := MeasureChannelFaultGapsContext(context.Background(), fit, topo, trials, seed, workers)
-	if err != nil {
-		panic(err) // Background is never canceled
-	}
-	return v
-}
-
-// MeasureChannelFaultGapsContext is MeasureChannelFaultGaps with
-// cancellation: the trial pool polls ctx between trials and returns ctx's
-// error once canceled.
+// bit-identical at any worker count. The trial pool polls ctx between
+// trials and returns ctx's error once canceled.
 func MeasureChannelFaultGapsContext(ctx context.Context, fit float64, topo Topology, trials int, seed int64, workers int) (float64, error) {
 	m := NewModel(topo, DefaultRates().Scaled(fit))
 	// Long horizon so that most trials observe several faults.

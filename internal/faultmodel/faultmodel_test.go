@@ -1,6 +1,7 @@
 package faultmodel
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -172,7 +173,7 @@ func TestMonteCarloMatchesAnalyticGap(t *testing.T) {
 	topo := PaperTopology(8)
 	fit := 2000.0 // inflated rate so trials are cheap
 	want := MeanTimeBetweenChannelFaults(fit, topo)
-	got := MeasureChannelFaultGaps(fit, topo, 60, 99, 1)
+	got := measureGaps(t, fit, topo, 60, 99, 1)
 	if math.Abs(got-want)/want > 0.15 {
 		t.Fatalf("MC gap %v, analytic %v", got, want)
 	}
@@ -206,7 +207,7 @@ func TestSimulateEOLPaperRange(t *testing.T) {
 	// Fig. 8: about 0.4% of memory on average ends up with correction bits
 	// after seven years for the paper's topology and rates.
 	topo := PaperTopology(8)
-	res := SimulateEOL(topo, DefaultRates(), 7*HoursPerYear, 4000, 11, 0)
+	res := simulateEOL(t, topo, DefaultRates(), 7*HoursPerYear, 4000, 11, 0)
 	if res.MeanFraction < 0.001 || res.MeanFraction > 0.012 {
 		t.Fatalf("mean EOL fraction %v, expected order of 0.4%%", res.MeanFraction)
 	}
@@ -221,8 +222,8 @@ func TestSimulateEOLPaperRange(t *testing.T) {
 func TestSimulateEOLMoreChannelsMoreAbsoluteFaults(t *testing.T) {
 	// The FRACTION marked stays roughly flat across channel counts (each
 	// channel adds both faults and capacity); check it doesn't blow up.
-	r2 := SimulateEOL(PaperTopology(2), DefaultRates(), 7*HoursPerYear, 2000, 3, 0)
-	r16 := SimulateEOL(PaperTopology(16), DefaultRates(), 7*HoursPerYear, 2000, 3, 0)
+	r2 := simulateEOL(t, PaperTopology(2), DefaultRates(), 7*HoursPerYear, 2000, 3, 0)
+	r16 := simulateEOL(t, PaperTopology(16), DefaultRates(), 7*HoursPerYear, 2000, 3, 0)
 	if r16.MeanFraction > 5*r2.MeanFraction+0.01 {
 		t.Fatalf("fraction not stable: 2ch=%v 16ch=%v", r2.MeanFraction, r16.MeanFraction)
 	}
@@ -233,8 +234,8 @@ func TestSimulateEOLMoreChannelsMoreAbsoluteFaults(t *testing.T) {
 // run serially or spread over many goroutines.
 func TestSimulateEOLWorkerCountInvariance(t *testing.T) {
 	topo := PaperTopology(8)
-	serial := SimulateEOL(topo, DefaultRates(), 7*HoursPerYear, 600, 11, 1)
-	wide := SimulateEOL(topo, DefaultRates(), 7*HoursPerYear, 600, 11, 8)
+	serial := simulateEOL(t, topo, DefaultRates(), 7*HoursPerYear, 600, 11, 1)
+	wide := simulateEOL(t, topo, DefaultRates(), 7*HoursPerYear, 600, 11, 8)
 	if serial.MeanFraction != wide.MeanFraction || serial.P999Fraction != wide.P999Fraction {
 		t.Fatalf("workers=1 (%v/%v) diverged from workers=8 (%v/%v)",
 			serial.MeanFraction, serial.P999Fraction, wide.MeanFraction, wide.P999Fraction)
@@ -248,8 +249,8 @@ func TestSimulateEOLWorkerCountInvariance(t *testing.T) {
 
 func TestMeasureChannelFaultGapsWorkerCountInvariance(t *testing.T) {
 	topo := PaperTopology(8)
-	serial := MeasureChannelFaultGaps(2000, topo, 30, 99, 1)
-	wide := MeasureChannelFaultGaps(2000, topo, 30, 99, 8)
+	serial := measureGaps(t, 2000, topo, 30, 99, 1)
+	wide := measureGaps(t, 2000, topo, 30, 99, 8)
 	if serial != wide {
 		t.Fatalf("workers=1 gap %v diverged from workers=8 gap %v", serial, wide)
 	}
@@ -298,4 +299,25 @@ func TestUndetectedErrorYears(t *testing.T) {
 	if got < 3e4 || got > 3e7 {
 		t.Fatalf("undetected-error interval %v years, want order of 3e5", got)
 	}
+}
+
+// simulateEOL is SimulateEOLContext for a campaign that is never canceled.
+func simulateEOL(t *testing.T, topo Topology, rates Rates, hours float64, trials int, seed int64, workers int) EOLResult {
+	t.Helper()
+	res, err := SimulateEOLContext(context.Background(), topo, rates, hours, trials, seed, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// measureGaps is MeasureChannelFaultGapsContext for a run that is never
+// canceled.
+func measureGaps(t *testing.T, fit float64, topo Topology, trials int, seed int64, workers int) float64 {
+	t.Helper()
+	v, err := MeasureChannelFaultGapsContext(context.Background(), fit, topo, trials, seed, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }

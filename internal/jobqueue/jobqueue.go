@@ -59,8 +59,7 @@ func (s Status) Terminal() bool {
 type Task func(ctx context.Context) (any, error)
 
 // SubmitOptions tags a submission with its scheduling identity. The zero
-// value reproduces plain Submit: ungrouped, anonymous, interactive, no
-// deadline.
+// value is an ungrouped, anonymous, interactive job with no deadline.
 type SubmitOptions struct {
 	// Group names the cancellation/notification group (the daemon uses one
 	// group per sweep; CancelGroup and ChangedGroup address it). "" means
@@ -79,8 +78,11 @@ type SubmitOptions struct {
 	Origin string
 	// Class is the priority class (default ClassInteractive).
 	Class Class
-	// Timeout is the per-job execution deadline counted from job start
-	// (0 = none); see SubmitTimeout.
+	// Timeout is the per-job execution deadline, counted from the moment a
+	// worker starts the job (queue wait doesn't burn the budget). When it
+	// expires the task's context is canceled and the job finishes
+	// StatusFailed with context.DeadlineExceeded, distinct from an explicit
+	// Cancel's StatusCanceled. 0 means no deadline.
 	Timeout time.Duration
 }
 
@@ -138,7 +140,6 @@ type Queue struct {
 	nextID   uint64
 	inflight int
 	counts   Counts
-	change   chan struct{}               // closed and replaced on every status transition
 	changeG  map[string]chan struct{}    // per-group transition channels (ChangedGroup)
 	dispatch chan struct{}               // closed and replaced whenever a job is queued (or on Close)
 	waitHist [numClasses]stats.Histogram // queue-wait ms per class
@@ -173,7 +174,6 @@ func newQueue(capacity, workers int, fifo bool) *Queue {
 		groups:   map[string][]*job{},
 		sched:    sched{fifo: fifo},
 		capacity: capacity,
-		change:   make(chan struct{}),
 		changeG:  map[string]chan struct{}{},
 		dispatch: make(chan struct{}),
 		poolDone: make(chan struct{}),
@@ -243,36 +243,9 @@ func (q *Queue) sweepRemaining() {
 	}
 }
 
-// Submit enqueues a task on the anonymous interactive lane and returns its
-// job id. It never blocks: a full buffer returns ErrFull, a closed queue
-// ErrClosed.
-func (q *Queue) Submit(task Task) (string, error) {
-	return q.SubmitWith(task, SubmitOptions{})
-}
-
-// SubmitTimeout is Submit with a per-job deadline, counted from the moment
-// a worker starts the job (queue wait doesn't burn the budget). When the
-// deadline expires, the task's context is canceled; the job finishes
-// StatusFailed with context.DeadlineExceeded, distinct from an explicit
-// Cancel's StatusCanceled. A timeout of 0 means no deadline.
-func (q *Queue) SubmitTimeout(task Task, timeout time.Duration) (string, error) {
-	return q.SubmitWith(task, SubmitOptions{Timeout: timeout})
-}
-
-// SubmitGroup is SubmitTimeout for a job tagged with a group name: every
-// non-terminal job of a group can be canceled in one call with CancelGroup
-// (the daemon uses one group per sweep, which is why a grouped submission
-// defaults to ClassSweep). An empty group means ungrouped and interactive.
-func (q *Queue) SubmitGroup(group string, task Task, timeout time.Duration) (string, error) {
-	class := ClassInteractive
-	if group != "" {
-		class = ClassSweep
-	}
-	return q.SubmitWith(task, SubmitOptions{Group: group, Class: class, Timeout: timeout})
-}
-
-// SubmitWith enqueues a task under explicit scheduling options. It never
-// blocks: a full buffer returns ErrFull, a closed queue ErrClosed.
+// SubmitWith enqueues a task under explicit scheduling options and returns
+// its job id. It never blocks: a full buffer returns ErrFull, a closed
+// queue ErrClosed.
 func (q *Queue) SubmitWith(task Task, o SubmitOptions) (string, error) {
 	if o.Class < 0 || int(o.Class) >= numClasses {
 		return "", fmt.Errorf("jobqueue: unknown class %d", o.Class)
@@ -328,7 +301,7 @@ func (q *Queue) run(j *job) {
 	q.inflight++
 	q.bumpLocked(j)
 	if j.timeout > 0 {
-		// The deadline clock starts here, not at Submit, so a job that sat
+		// The deadline clock starts here, not at SubmitWith, so a job that sat
 		// in the buffer still gets its full budget. Replacing j.ctx under mu
 		// keeps Cancel's j.cancel() effective: it cancels the parent.
 		var cancelTimeout context.CancelFunc
@@ -370,18 +343,16 @@ func (q *Queue) finishLocked(j *job, s Status, res any, errMsg string) {
 	q.bumpLocked(j)
 }
 
-// bumpLocked wakes everyone blocked on Changed, plus — when the job is
-// grouped — everyone blocked on its group's ChangedGroup channel (mu held).
-// Ungrouped transitions never touch a group channel: that isolation is the
-// fix for the thundering-herd wakeups the global broadcast caused.
+// bumpLocked wakes everyone blocked on the job's group's ChangedGroup
+// channel (mu held). Ungrouped transitions touch no channel, and one
+// group's transitions never wake another group's waiters.
 func (q *Queue) bumpLocked(j *job) {
-	close(q.change)
-	q.change = make(chan struct{})
-	if j.group != "" {
-		if ch, ok := q.changeG[j.group]; ok {
-			close(ch)
-			q.changeG[j.group] = make(chan struct{})
-		}
+	if j.group == "" {
+		return
+	}
+	if ch, ok := q.changeG[j.group]; ok {
+		close(ch)
+		q.changeG[j.group] = make(chan struct{})
 	}
 }
 
@@ -391,22 +362,14 @@ func (q *Queue) bumpDispatchLocked() {
 	q.dispatch = make(chan struct{})
 }
 
-// Changed returns a channel that is closed at the next job status
-// transition (queued→running or any terminal move), across all groups. Grab
-// the channel, read whatever state is of interest, then wait on it: the
-// close-and-replace discipline means no transition between the grab and the
-// wait is lost.
-func (q *Queue) Changed() <-chan struct{} {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.change
-}
-
-// ChangedGroup is Changed scoped to one group: the returned channel is
-// closed at the next status transition of a job submitted under that group,
-// and only then — transitions elsewhere in the queue do not touch it. A
-// sweep long-poller waiting on its own group is therefore never woken (and
-// never rescans its point list) because an unrelated job finished.
+// ChangedGroup returns a channel that is closed at the next status
+// transition (queued→running or any terminal move) of a job submitted under
+// group, and only then — transitions elsewhere in the queue do not touch
+// it. Grab the channel, read whatever state is of interest, then wait on
+// it: the close-and-replace discipline means no transition between the grab
+// and the wait is lost. A sweep long-poller waiting on its own group is
+// therefore never woken (and never rescans its point list) because an
+// unrelated job finished.
 func (q *Queue) ChangedGroup(group string) <-chan struct{} {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -31,7 +31,7 @@ func waitTerminal(t *testing.T, q *Queue, id string) Snapshot {
 func TestSubmitRunGet(t *testing.T) {
 	q := New(8, 2)
 	defer q.Drain(context.Background())
-	id, err := q.Submit(func(context.Context) (any, error) { return 42, nil })
+	id, err := q.SubmitWith(func(context.Context) (any, error) { return 42, nil }, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestSubmitRunGet(t *testing.T) {
 func TestFailedJobCarriesError(t *testing.T) {
 	q := New(4, 1)
 	defer q.Drain(context.Background())
-	id, _ := q.Submit(func(context.Context) (any, error) { return nil, errors.New("boom") })
+	id, _ := q.SubmitWith(func(context.Context) (any, error) { return nil, errors.New("boom") }, SubmitOptions{})
 	s := waitTerminal(t, q, id)
 	if s.Status != StatusFailed || s.Error != "boom" {
 		t.Fatalf("snapshot %+v, want failed/boom", s)
@@ -57,13 +57,13 @@ func TestFailedJobCarriesError(t *testing.T) {
 func TestPanicBecomesFailure(t *testing.T) {
 	q := New(4, 1)
 	defer q.Drain(context.Background())
-	id, _ := q.Submit(func(context.Context) (any, error) { panic("kaboom") })
+	id, _ := q.SubmitWith(func(context.Context) (any, error) { panic("kaboom") }, SubmitOptions{})
 	s := waitTerminal(t, q, id)
 	if s.Status != StatusFailed {
 		t.Fatalf("status %s, want failed", s.Status)
 	}
 	// The pool must survive a panicking job.
-	id2, err := q.Submit(func(context.Context) (any, error) { return "ok", nil })
+	id2, err := q.SubmitWith(func(context.Context) (any, error) { return "ok", nil }, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestBoundedQueueRejectsWhenFull(t *testing.T) {
 	gate := make(chan struct{})
 	blocker := func(context.Context) (any, error) { <-gate; return nil, nil }
 
-	first, err := q.Submit(blocker) // picked up by the single worker
+	first, err := q.SubmitWith(blocker, SubmitOptions{}) // picked up by the single worker
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +91,10 @@ func TestBoundedQueueRejectsWhenFull(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := q.Submit(blocker); err != nil { // fills the buffer
+	if _, err := q.SubmitWith(blocker, SubmitOptions{}); err != nil { // fills the buffer
 		t.Fatal(err)
 	}
-	if _, err := q.Submit(blocker); !errors.Is(err, ErrFull) {
+	if _, err := q.SubmitWith(blocker, SubmitOptions{}); !errors.Is(err, ErrFull) {
 		t.Fatalf("third submit: err = %v, want ErrFull", err)
 	}
 	close(gate)
@@ -104,7 +104,7 @@ func TestBoundedQueueRejectsWhenFull(t *testing.T) {
 func TestSubmitAfterCloseReturnsErrClosed(t *testing.T) {
 	q := New(4, 1)
 	q.Close()
-	if _, err := q.Submit(func(context.Context) (any, error) { return nil, nil }); !errors.Is(err, ErrClosed) {
+	if _, err := q.SubmitWith(func(context.Context) (any, error) { return nil, nil }, SubmitOptions{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 	q.Drain(context.Background())
@@ -113,9 +113,9 @@ func TestSubmitAfterCloseReturnsErrClosed(t *testing.T) {
 func TestCancelQueuedJob(t *testing.T) {
 	q := New(4, 1)
 	gate := make(chan struct{})
-	q.Submit(func(context.Context) (any, error) { <-gate; return nil, nil })
+	q.SubmitWith(func(context.Context) (any, error) { <-gate; return nil, nil }, SubmitOptions{})
 	var ran atomic.Bool
-	id, _ := q.Submit(func(context.Context) (any, error) { ran.Store(true); return nil, nil })
+	id, _ := q.SubmitWith(func(context.Context) (any, error) { ran.Store(true); return nil, nil }, SubmitOptions{})
 	if !q.Cancel(id) {
 		t.Fatal("Cancel returned false for a queued job")
 	}
@@ -152,12 +152,12 @@ func TestDrainUnderLoad(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
 				n := &atomic.Int64{}
-				id, err := q.Submit(func(context.Context) (any, error) {
+				id, err := q.SubmitWith(func(context.Context) (any, error) {
 					n.Add(1)
 					executed.Add(1)
 					time.Sleep(time.Duration(i%3) * time.Millisecond)
 					return fmt.Sprintf("g%d-i%d", g, i), nil
-				})
+				}, SubmitOptions{})
 				if err != nil {
 					continue // full/closed: rejected at the door, never tracked
 				}
@@ -234,17 +234,17 @@ func TestForcedDrainCancelsQueuedJobs(t *testing.T) {
 	q := New(16, 1)
 	release := make(chan struct{})
 	var canceledSeen atomic.Bool
-	first, _ := q.Submit(func(ctx context.Context) (any, error) {
+	first, _ := q.SubmitWith(func(ctx context.Context) (any, error) {
 		<-release
 		if ctx.Err() != nil {
 			canceledSeen.Store(true)
 			return nil, ctx.Err()
 		}
 		return nil, nil
-	})
+	}, SubmitOptions{})
 	var queued []string
 	for i := 0; i < 5; i++ {
-		id, err := q.Submit(func(context.Context) (any, error) { return nil, nil })
+		id, err := q.SubmitWith(func(context.Context) (any, error) { return nil, nil }, SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,10 +283,10 @@ func TestForcedDrainCancelsQueuedJobs(t *testing.T) {
 func TestSubmitTimeoutExpires(t *testing.T) {
 	q := New(4, 1)
 	defer q.Drain(context.Background())
-	id, err := q.SubmitTimeout(func(ctx context.Context) (any, error) {
+	id, err := q.SubmitWith(func(ctx context.Context) (any, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
-	}, 20*time.Millisecond)
+	}, SubmitOptions{Timeout: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,11 +306,11 @@ func TestSubmitTimeoutClockStartsAtRun(t *testing.T) {
 	q := New(4, 1)
 	defer q.Drain(context.Background())
 	release := make(chan struct{})
-	q.Submit(func(context.Context) (any, error) { <-release; return nil, nil })
+	q.SubmitWith(func(context.Context) (any, error) { <-release; return nil, nil }, SubmitOptions{})
 	// Queued behind the blocker for longer than its own deadline.
-	id, _ := q.SubmitTimeout(func(ctx context.Context) (any, error) {
+	id, _ := q.SubmitWith(func(ctx context.Context) (any, error) {
 		return "ran", ctx.Err()
-	}, 30*time.Millisecond)
+	}, SubmitOptions{Timeout: 30 * time.Millisecond})
 	time.Sleep(60 * time.Millisecond)
 	close(release)
 	s := waitTerminal(t, q, id)
@@ -325,21 +325,21 @@ func TestCancelGroup(t *testing.T) {
 	q := New(8, 1)
 	defer q.Drain(context.Background())
 	started := make(chan struct{})
-	running, err := q.SubmitGroup("sweep-1", func(ctx context.Context) (any, error) {
+	running, err := q.SubmitWith(func(ctx context.Context) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
-	}, 0)
+	}, SubmitOptions{Group: "sweep-1", Class: ClassSweep})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started // the single worker now holds the running member
 	var ran atomic.Bool
-	queued, err := q.SubmitGroup("sweep-1", func(context.Context) (any, error) { ran.Store(true); return nil, nil }, 0)
+	queued, err := q.SubmitWith(func(context.Context) (any, error) { ran.Store(true); return nil, nil }, SubmitOptions{Group: "sweep-1", Class: ClassSweep})
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := q.Submit(func(context.Context) (any, error) { return "bystander", nil })
+	other, err := q.SubmitWith(func(context.Context) (any, error) { return "bystander", nil }, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,10 +378,10 @@ func TestCancelGroup(t *testing.T) {
 // the pool exits.
 func TestForcedDrainReleasesBlockedPool(t *testing.T) {
 	q := New(4, 2)
-	id, err := q.Submit(func(ctx context.Context) (any, error) {
+	id, err := q.SubmitWith(func(ctx context.Context) (any, error) {
 		<-ctx.Done() // only cancellation can release this task
 		return nil, ctx.Err()
-	})
+	}, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,26 +412,26 @@ func TestForcedDrainReleasesBlockedPool(t *testing.T) {
 	}
 }
 
-// TestChangedSignalsTransitions pins the close-and-replace discipline: a
-// channel grabbed before a transition is closed by it, and a channel grabbed
-// after the last transition stays open.
+// TestChangedSignalsTransitions: a group's channel closes at the next
+// transition of one of its jobs, and a channel grabbed after the last
+// transition stays open.
 func TestChangedSignalsTransitions(t *testing.T) {
 	q := New(4, 1)
 	defer q.Drain(context.Background())
-	ch := q.Changed()
-	id, err := q.Submit(func(context.Context) (any, error) { return nil, nil })
+	ch := q.ChangedGroup("g")
+	id, err := q.SubmitWith(func(context.Context) (any, error) { return nil, nil }, SubmitOptions{Group: "g"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case <-ch:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Changed channel never closed after a job transition")
+		t.Fatal("group channel never closed after a job transition")
 	}
 	waitTerminal(t, q, id)
 	select {
-	case <-q.Changed():
-		t.Fatal("Changed channel grabbed after the last transition is already closed")
+	case <-q.ChangedGroup("g"):
+		t.Fatal("group channel grabbed after the last transition is already closed")
 	default:
 	}
 }
@@ -442,11 +442,11 @@ func TestCancelBeatsTimeout(t *testing.T) {
 	q := New(4, 1)
 	defer q.Drain(context.Background())
 	started := make(chan struct{})
-	id, _ := q.SubmitTimeout(func(ctx context.Context) (any, error) {
+	id, _ := q.SubmitWith(func(ctx context.Context) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
-	}, time.Hour)
+	}, SubmitOptions{Timeout: time.Hour})
 	<-started
 	if !q.Cancel(id) {
 		t.Fatal("Cancel returned false for a running job")

@@ -144,7 +144,7 @@ func TestChangedGroupIsolation(t *testing.T) {
 	chB := q.ChangedGroup("B")
 	chA := q.ChangedGroup("A")
 
-	id, err := q.SubmitGroup("A", func(context.Context) (any, error) { return nil, nil }, 0)
+	id, err := q.SubmitWith(func(context.Context) (any, error) { return nil, nil }, SubmitOptions{Group: "A", Class: ClassSweep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestChangedGroupIsolation(t *testing.T) {
 
 	// Ungrouped transitions touch no group channel either.
 	chB = q.ChangedGroup("B")
-	id, err = q.Submit(func(context.Context) (any, error) { return nil, nil })
+	id, err = q.SubmitWith(func(context.Context) (any, error) { return nil, nil }, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestChangedGroupIsolation(t *testing.T) {
 func TestBatchSurvivesInteractiveFlood(t *testing.T) {
 	q := New(256, 1)
 	gate := make(chan struct{})
-	if _, err := q.Submit(func(context.Context) (any, error) { <-gate; return nil, nil }); err != nil {
+	if _, err := q.SubmitWith(func(context.Context) (any, error) { <-gate; return nil, nil }, SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	batchID, err := q.SubmitWith(func(context.Context) (any, error) { return "batch", nil },
@@ -195,10 +195,10 @@ func TestBatchSurvivesInteractiveFlood(t *testing.T) {
 	var wg sync.WaitGroup
 	var interactiveDone atomic.Int64
 	feed := func() (string, error) {
-		return q.Submit(func(context.Context) (any, error) {
+		return q.SubmitWith(func(context.Context) (any, error) {
 			interactiveDone.Add(1)
 			return nil, nil
-		})
+		}, SubmitOptions{})
 	}
 	for i := 0; i < 64; i++ {
 		if _, err := feed(); err != nil {
@@ -238,7 +238,7 @@ func TestQueueClassStats(t *testing.T) {
 	q := New(16, 1)
 	defer q.Drain(context.Background())
 	gate := make(chan struct{})
-	first, _ := q.Submit(func(context.Context) (any, error) { <-gate; return nil, nil })
+	first, _ := q.SubmitWith(func(context.Context) (any, error) { <-gate; return nil, nil }, SubmitOptions{})
 	for i := 0; ; i++ {
 		if s, _ := q.Get(first); s.Status == StatusRunning {
 			break

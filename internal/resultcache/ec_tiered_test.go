@@ -42,6 +42,7 @@ func publishEC(t *testing.T, shared blob.Backend, key string, val []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(c.Close)
 	if _, hit, err := c.GetOrCompute(context.Background(), key, func(context.Context) ([]byte, error) {
 		return val, nil
 	}); err != nil || hit {
@@ -73,6 +74,7 @@ func TestECSharedDegradedReadIsHitWithRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(c.Close)
 	got, hit, err := c.GetOrCompute(context.Background(), key, noCompute(t))
 	if err != nil || !hit {
 		t.Fatalf("degraded read: hit=%v err=%v", hit, err)
@@ -109,6 +111,7 @@ func TestECSharedBeyondBudgetRecomputesAndRepairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(c.Close)
 	computes := 0
 	got, hit, err := c.GetOrCompute(context.Background(), key, func(context.Context) ([]byte, error) {
 		computes++
@@ -131,6 +134,7 @@ func TestECSharedBeyondBudgetRecomputesAndRepairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(fresh.Close)
 	got2, hit2, err := fresh.GetOrCompute(context.Background(), key, noCompute(t))
 	if err != nil || !hit2 || !bytes.Equal(got2, want) {
 		t.Fatalf("repaired read: hit=%v err=%v bytes=%q", hit2, err, got2)
@@ -171,6 +175,7 @@ func TestECSharedTransportErrorsDegrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(c.Close)
 	computes := 0
 	got, hit, err := c.GetOrCompute(context.Background(), key, func(context.Context) ([]byte, error) {
 		computes++

@@ -6,12 +6,13 @@
 // run by construction, and concurrent identical requests can share one
 // execution (singleflight).
 //
-// Layout: an in-memory map in front of an optional on-disk directory of
-// <hash>.json files written atomically, so a daemon restart keeps its
-// corpus. Each disk entry is framed with a payload checksum ("eccrc1
-// <sha256hex>\n<payload>") so a truncated or bit-flipped file is detected
-// on read, deleted, and treated as a miss — the result is recomputed, never
-// served corrupted. The disk layer is bounded: when a byte budget is set,
+// Layout: singleflight over an in-memory map in front of an optional
+// on-disk blob.FS (internal/blob), so a daemon restart keeps its corpus.
+// The disk tier owns no file handling of its own: blob.FS writes each entry
+// atomically as a checksummed frame, sweeps crash orphans at open, and
+// reports a truncated or bit-flipped entry as blob.ErrCorrupt after
+// deleting it — the result is recomputed, never served corrupted. The cache
+// adds an LRU byte-budget index over the disk tier: when a budget is set,
 // least-recently-used entries are evicted to stay under it.
 //
 // Behind the local tiers an optional shared tier (internal/blob) turns the
@@ -19,11 +20,11 @@
 // through memory → local disk → shared blob, a shared hit is pulled into
 // the local tiers (read-through fill), and a freshly computed result is
 // published to the shared tier asynchronously (write-behind, so the compute
-// path never blocks on a network mount). The shared tier inherits the same
-// safety rules as the disk tier: blobs are checksummed frames, a corrupt
-// frame is deleted and recomputed locally — never served and never left to
-// poison other replicas — and singleflight still collapses concurrent
-// identical requests on this replica whichever tier ends up serving them.
+// path never blocks on a network mount). The shared tier is the same kind
+// of store as the disk tier — a corrupt frame is deleted and recomputed
+// locally, never served and never left to poison other replicas — and
+// singleflight still collapses concurrent identical requests on this
+// replica whichever tier ends up serving them.
 package resultcache
 
 import (
@@ -34,11 +35,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"regexp"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -58,14 +55,6 @@ func Key(config any) (string, error) {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
 }
-
-// validKey guards the on-disk path: keys are exactly 64 hex chars.
-var validKey = regexp.MustCompile(`^[0-9a-f]{64}$`)
-
-// diskMagic opens every disk entry, followed by the hex SHA-256 of the
-// payload and a newline. Bumping the version string invalidates the corpus
-// wholesale (old entries fail the frame check and recompute).
-const diskMagic = "eccrc1 "
 
 // Stats is a snapshot of the cache's counters.
 type Stats struct {
@@ -124,8 +113,8 @@ type diskEntry struct {
 
 // Cache is safe for concurrent use.
 type Cache struct {
-	dir      string // "" = memory only
-	maxBytes int64  // 0 = unbounded disk
+	disk     *blob.FS // nil = memory only
+	maxBytes int64    // 0 = unbounded disk
 
 	// shared is the optional fleet-wide tier behind the local ones; nil
 	// keeps the cache purely local. pubWG tracks in-flight write-behind
@@ -136,6 +125,7 @@ type Cache struct {
 	pubSem chan struct{}
 
 	mu       sync.Mutex
+	closed   bool // Close was called: no new publishes
 	mem      map[string][]byte
 	inflight map[string]*flight
 
@@ -168,12 +158,12 @@ func WithShared(b blob.Backend) Option {
 // missing); dir == "" keeps results in memory only. maxDiskBytes bounds the
 // on-disk layer: when a write would push the directory past the budget,
 // least-recently-used entries are evicted first (0 = unbounded). The
-// existing corpus is indexed at startup, oldest-first by mtime, and trimmed
-// to the budget immediately.
+// existing corpus is indexed at startup from the walk that opens the
+// store, oldest-first by mtime, and trimmed to the budget immediately.
 func New(dir string, maxDiskBytes int64, opts ...Option) (*Cache, error) {
 	c := &Cache{
-		dir: dir, maxBytes: maxDiskBytes,
-		mem: map[string][]byte{}, inflight: map[string]*flight{},
+		maxBytes: maxDiskBytes,
+		mem:      map[string][]byte{}, inflight: map[string]*flight{},
 		lru: list.New(), index: map[string]*list.Element{},
 		pubSem: make(chan struct{}, 4),
 	}
@@ -181,11 +171,17 @@ func New(dir string, maxDiskBytes int64, opts ...Option) (*Cache, error) {
 		o(c)
 	}
 	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+		disk, entries, err := blob.OpenFS(dir)
+		if err != nil {
 			return nil, fmt.Errorf("resultcache: %w", err)
 		}
-		if err := c.loadIndex(); err != nil {
-			return nil, err
+		c.disk = disk
+		// Oldest first: each PushFront leaves the newest at the front, so a
+		// restarted daemon evicts its stalest results first.
+		sort.Slice(entries, func(i, j int) bool { return entries[i].ModTime.Before(entries[j].ModTime) })
+		for _, e := range entries {
+			c.index[e.Key] = c.lru.PushFront(&diskEntry{key: e.Key, size: e.Size})
+			c.bytes += e.Size
 		}
 		c.mu.Lock()
 		c.evictLocked()
@@ -194,74 +190,47 @@ func New(dir string, maxDiskBytes int64, opts ...Option) (*Cache, error) {
 	return c, nil
 }
 
-// loadIndex scans dir for well-formed entry names and rebuilds the LRU in
-// mtime order, so a restarted daemon evicts its stalest results first.
-func (c *Cache) loadIndex() error {
-	entries, err := os.ReadDir(c.dir)
-	if err != nil {
-		return fmt.Errorf("resultcache: %w", err)
-	}
-	type rec struct {
-		key   string
-		size  int64
-		mtime int64
-	}
-	recs := []rec{}
-	for _, e := range entries {
-		key, ok := strings.CutSuffix(e.Name(), ".json")
-		if !ok || !validKey.MatchString(key) || e.IsDir() {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		recs = append(recs, rec{key: key, size: info.Size(), mtime: info.ModTime().UnixNano()})
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].mtime < recs[j].mtime })
-	for _, r := range recs {
-		// Oldest first: each PushFront leaves the newest at the front.
-		c.index[r.key] = c.lru.PushFront(&diskEntry{key: r.key, size: r.size})
-		c.bytes += r.size
-	}
-	return nil
-}
-
-// Get returns the cached bytes for key, consulting memory then disk, and
-// counts a hit when found. Missing keys are not counted as misses (only a
-// computation is): use GetOrCompute for the read-through path.
+// Get returns the cached bytes for key, consulting memory, disk, then the
+// shared tier, and counts a hit when found. Missing keys are not counted as
+// misses (only a computation is): use GetOrCompute for the read-through
+// path.
 func (c *Cache) Get(key string) ([]byte, bool) {
-	if v, ok := c.lookup(key); ok {
+	v, ok := c.Peek(key)
+	if ok {
 		c.hits.Add(1)
-		return v, true
 	}
-	return nil, false
+	return v, ok
 }
 
 // Peek is Get without touching the hit counter — for serving /v1/results
 // fetches, which would otherwise inflate the hit ratio.
 func (c *Cache) Peek(key string) ([]byte, bool) {
-	return c.lookup(key)
-}
-
-func (c *Cache) lookup(key string) ([]byte, bool) {
-	c.mu.Lock()
-	if v, ok := c.mem[key]; ok {
-		c.mu.Unlock()
-		return clone(v), true
-	}
-	c.mu.Unlock()
-	b, ok := c.readDisk(key)
-	if !ok {
-		b, ok = c.readShared(key)
-	}
+	v, ok := c.lookup(key)
 	if !ok {
 		return nil, false
 	}
+	return clone(v), true
+}
+
+// lookup is the one read-through walk of the tiers: memory, then local
+// disk, then shared. A lower-tier hit fills memory (readShared also fills
+// disk). The returned slice is the cache's own copy; callers clone it.
+func (c *Cache) lookup(key string) ([]byte, bool) {
 	c.mu.Lock()
-	c.mem[key] = b
+	v, ok := c.mem[key]
 	c.mu.Unlock()
-	return clone(b), true
+	if ok {
+		return v, true
+	}
+	if v, ok = c.readDisk(key); !ok {
+		v, ok = c.readShared(key)
+	}
+	if ok {
+		c.mu.Lock()
+		c.mem[key] = v
+		c.mu.Unlock()
+	}
+	return v, ok
 }
 
 // GetOrCompute returns the bytes for key, running compute exactly once per
@@ -300,24 +269,18 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func(ctx c
 	c.inflight[key] = f
 	c.mu.Unlock()
 
-	// Disk check outside the lock: a restart's corpus counts as a hit. The
-	// shared tier is consulted after local disk (read-through): a result
-	// another replica computed is a hit here too, and the fill below makes
-	// the next lookup purely local.
-	if b, ok := c.readDisk(key); ok {
-		c.settle(key, f, b, nil)
+	// The lower tiers are read outside the lock: a restart's corpus and a
+	// result another replica published are hits too.
+	if v, ok := c.lookup(key); ok {
+		c.settle(key, f, v, nil)
 		c.hits.Add(1)
-		return clone(b), true, nil
-	}
-	if b, ok := c.readShared(key); ok {
-		c.settle(key, f, b, nil)
-		c.hits.Add(1)
-		return clone(b), true, nil
+		return clone(v), true, nil
 	}
 
 	c.misses.Add(1)
 	v, cerr := compute(ctx)
 	if cerr == nil {
+		v = clone(v)
 		c.persist(key, v)
 		c.publishShared(key, v)
 	}
@@ -328,46 +291,43 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func(ctx c
 	return clone(v), false, nil
 }
 
-// settle publishes a flight's outcome: successful values land in memory,
-// waiters are released, and the key is open for retry on error.
+// settle publishes a flight's outcome: a successful value lands in memory
+// (v becomes the cache's own copy), waiters are released, and the key is
+// open for retry on error.
 func (c *Cache) settle(key string, f *flight, v []byte, err error) {
 	f.val, f.err = v, err
 	c.mu.Lock()
 	if err == nil {
-		c.mem[key] = clone(v)
+		c.mem[key] = v
 	}
 	delete(c.inflight, key)
 	c.mu.Unlock()
 	close(f.done)
 }
 
-// readDisk reads and verifies one disk entry. A file that fails the frame
-// check — wrong magic, bad hex, checksum mismatch from truncation or bit
-// rot — is deleted and reported as a miss so the caller recomputes. A valid
-// read touches the entry in the LRU.
+// readDisk reads one entry from the disk tier. A valid read touches the
+// entry in the LRU. blob.ErrCorrupt means the store found a damaged frame
+// and deleted it: the entry leaves the index and is a miss, so the caller
+// recomputes. Every other error — a missing entry, a key that is not a
+// content address, an IO failure — is a plain miss.
 func (c *Cache) readDisk(key string) ([]byte, bool) {
-	if c.dir == "" || !validKey.MatchString(key) {
+	if c.disk == nil {
 		return nil, false
 	}
-	b, err := os.ReadFile(c.path(key))
-	if err != nil {
-		return nil, false
-	}
-	payload, ok := decodeFrame(b)
-	if !ok {
-		c.corrupt.Add(1)
-		os.Remove(c.path(key))
-		c.mu.Lock()
-		c.dropIndexLocked(key)
-		c.mu.Unlock()
-		return nil, false
-	}
+	b, err := c.disk.Get(context.Background(), key)
 	c.mu.Lock()
-	if el, ok := c.index[key]; ok {
-		c.lru.MoveToFront(el)
+	defer c.mu.Unlock()
+	switch {
+	case err == nil:
+		if el, ok := c.index[key]; ok {
+			c.lru.MoveToFront(el)
+		}
+		return b, true
+	case errors.Is(err, blob.ErrCorrupt):
+		c.corrupt.Add(1)
+		c.dropIndexLocked(key)
 	}
-	c.mu.Unlock()
-	return payload, true
+	return nil, false
 }
 
 // readShared reads one entry from the shared blob tier and, on a hit,
@@ -378,7 +338,7 @@ func (c *Cache) readDisk(key string) ([]byte, bool) {
 // bytes. Transport errors degrade to a miss too — a flaky mount slows the
 // fleet down to per-replica recomputation, it never breaks it.
 func (c *Cache) readShared(key string) ([]byte, bool) {
-	if c.shared == nil || !validKey.MatchString(key) {
+	if c.shared == nil || !blob.ValidKey(key) {
 		return nil, false
 	}
 	b, err := c.shared.Get(context.Background(), key)
@@ -398,23 +358,28 @@ func (c *Cache) readShared(key string) ([]byte, bool) {
 }
 
 // publishShared queues a write-behind publish of a freshly computed value
-// to the shared tier: the compute path returns immediately, a bounded
-// number of publisher goroutines push in the background, and FlushShared
-// waits for the backlog (the daemon flushes on drain so a clean shutdown
-// leaves everything it computed visible to the fleet). Publish failures are
-// counted and dropped — the local tiers still serve the value, and any
-// replica that misses the shared tier recomputes deterministically.
+// to the shared tier: the compute path returns immediately, and a bounded
+// number of publisher goroutines push in the background. Close (or
+// FlushShared) waits for the backlog, so a clean shutdown leaves everything
+// this replica computed visible to the fleet. Publish failures are counted
+// and dropped — the local tiers still serve the value, and any replica that
+// misses the shared tier recomputes deterministically. v must not change.
 func (c *Cache) publishShared(key string, v []byte) {
-	if c.shared == nil || !validKey.MatchString(key) {
+	if c.shared == nil || !blob.ValidKey(key) {
 		return
 	}
-	val := clone(v)
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return
+	}
 	c.pubWG.Add(1)
+	c.mu.Unlock()
 	go func() {
 		defer c.pubWG.Done()
 		c.pubSem <- struct{}{}
 		defer func() { <-c.pubSem }()
-		if err := c.shared.Put(context.Background(), key, val); err != nil {
+		if err := c.shared.Put(context.Background(), key, v); err != nil {
 			c.sharedErrors.Add(1)
 			return
 		}
@@ -422,44 +387,36 @@ func (c *Cache) publishShared(key string, v []byte) {
 	}()
 }
 
-// FlushShared blocks until every queued write-behind publish has settled.
-// Call it before shutdown (and in tests) to make the shared tier catch up
-// with everything this replica computed.
+// FlushShared blocks until every queued write-behind publish has settled,
+// leaving the cache open for more.
 func (c *Cache) FlushShared() {
 	c.pubWG.Wait()
 }
 
-// persist writes the framed value to disk atomically (tmp + rename) so a
-// crashed write can never surface as a truncated result, then evicts LRU
-// entries past the byte budget. Best-effort: the in-memory layer still
-// serves the value if the disk write fails.
+// Close stops new write-behind publishes and waits for the in-flight ones,
+// so no publish goroutine outlives it. Reads keep working on every tier;
+// results computed after Close stay local. The owner calls it when done —
+// the daemon on drain, tests in t.Cleanup.
+func (c *Cache) Close() {
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
+	c.pubWG.Wait()
+}
+
+// persist writes the value to the disk tier (blob.FS writes are atomic, so
+// a crashed write never surfaces as a truncated result), indexes its framed
+// size, then evicts LRU entries past the byte budget. Best-effort: the
+// in-memory layer still serves the value if the disk write fails.
 func (c *Cache) persist(key string, v []byte) {
-	if c.dir == "" || !validKey.MatchString(key) {
+	if c.disk == nil || c.disk.Put(context.Background(), key, v) != nil {
 		return
 	}
-	framed := encodeFrame(v)
-	tmp, err := os.CreateTemp(c.dir, key+".tmp*")
-	if err != nil {
-		return
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(framed); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return
-	}
-	if err := os.Rename(name, c.path(key)); err != nil {
-		os.Remove(name)
-		return
-	}
+	size := int64(len(v) + blob.FrameOverhead)
 	c.mu.Lock()
 	c.dropIndexLocked(key) // overwrite: replace any stale size
-	c.index[key] = c.lru.PushFront(&diskEntry{key: key, size: int64(len(framed))})
-	c.bytes += int64(len(framed))
+	c.index[key] = c.lru.PushFront(&diskEntry{key: key, size: size})
+	c.bytes += size
 	c.evictLocked()
 	c.mu.Unlock()
 }
@@ -477,7 +434,9 @@ func (c *Cache) evictLocked() {
 			return
 		}
 		e := el.Value.(*diskEntry)
-		os.Remove(c.path(e.key))
+		// The entry leaves the index even if the delete fails, so eviction
+		// always makes progress; the next open re-indexes a survivor.
+		_ = c.disk.Delete(context.Background(), e.key)
 		c.dropIndexLocked(e.key)
 		c.evicted.Add(1)
 	}
@@ -490,35 +449,6 @@ func (c *Cache) dropIndexLocked(key string) {
 		c.lru.Remove(el)
 		delete(c.index, key)
 	}
-}
-
-// encodeFrame wraps a payload in the checksummed disk format.
-func encodeFrame(payload []byte) []byte {
-	sum := sha256.Sum256(payload)
-	out := make([]byte, 0, len(diskMagic)+64+1+len(payload))
-	out = append(out, diskMagic...)
-	out = append(out, hex.EncodeToString(sum[:])...)
-	out = append(out, '\n')
-	return append(out, payload...)
-}
-
-// decodeFrame verifies the frame and returns the payload, or ok=false for
-// anything malformed — wrong magic, short file, checksum mismatch.
-func decodeFrame(b []byte) ([]byte, bool) {
-	rest, ok := strings.CutPrefix(string(b), diskMagic)
-	if !ok || len(rest) < 65 || rest[64] != '\n' {
-		return nil, false
-	}
-	payload := []byte(rest[65:])
-	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != rest[:64] {
-		return nil, false
-	}
-	return payload, true
-}
-
-func (c *Cache) path(key string) string {
-	return filepath.Join(c.dir, key+".json")
 }
 
 // Stats returns a snapshot of the counters.

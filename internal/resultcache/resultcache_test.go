@@ -6,10 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"eccparity/internal/blob"
 )
 
 func TestKeyDeterministicAndSensitive(t *testing.T) {
@@ -30,7 +31,7 @@ func TestKeyDeterministicAndSensitive(t *testing.T) {
 	if a1 == b {
 		t.Error("different seeds collapsed to one key")
 	}
-	if !validKey.MatchString(a1) {
+	if !blob.ValidKey(a1) {
 		t.Errorf("key %q is not 64 hex chars", a1)
 	}
 }
@@ -120,7 +121,7 @@ func TestDiskPersistenceAcrossInstances(t *testing.T) {
 	if _, _, err := c1.GetOrCompute(context.Background(), key, func(context.Context) ([]byte, error) { return orig, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, key+".json")); err != nil {
+	if _, err := os.Stat(blobPath(dir, key)); err != nil {
 		t.Fatalf("result not persisted: %v", err)
 	}
 

@@ -50,6 +50,7 @@ func TestSharedTierCrossCacheHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(a.Close)
 	key := mustKey(t, map[string]string{"experiment": "fig8"})
 	want := []byte(`{"experiment":"fig8","rows":[1,2,3]}`)
 	if _, hit, err := a.GetOrCompute(context.Background(), key, func(context.Context) ([]byte, error) {
@@ -66,6 +67,7 @@ func TestSharedTierCrossCacheHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(b.Close)
 	got, hit, err := b.GetOrCompute(context.Background(), key, noCompute(t))
 	if err != nil || !hit {
 		t.Fatalf("cross-cache read: hit=%v err=%v", hit, err)
@@ -97,6 +99,7 @@ func TestGetFallsThroughToShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(c.Close)
 	got, ok := c.Get(key)
 	if !ok || !bytes.Equal(got, want) {
 		t.Fatalf("Get = %q, %v", got, ok)
@@ -147,6 +150,7 @@ func TestCorruptSharedBlobRecomputedAndRepaired(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			t.Cleanup(c.Close)
 			computes := 0
 			got, hit, err := c.GetOrCompute(context.Background(), key, func(context.Context) ([]byte, error) {
 				computes++
@@ -181,6 +185,7 @@ func TestCorruptSharedBlobRecomputedAndRepaired(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			t.Cleanup(fresh.Close)
 			got2, hit2, err := fresh.GetOrCompute(context.Background(), key, noCompute(t))
 			if err != nil || !hit2 || !bytes.Equal(got2, want) {
 				t.Fatalf("repaired read: hit=%v err=%v bytes=%q", hit2, err, got2)
@@ -199,6 +204,7 @@ func TestCorruptSharedBlobGetIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(c.Close)
 	if _, ok := c.Get(key); ok {
 		t.Fatal("Get served a corrupt shared blob")
 	}
@@ -227,6 +233,7 @@ func TestSharedTierUnavailableDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(c.Close)
 	key := mustKey(t, "degraded")
 	want := []byte("still works")
 	got, hit, err := c.GetOrCompute(context.Background(), key, func(context.Context) ([]byte, error) {
@@ -257,6 +264,7 @@ func TestSingleflightAcrossTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(c.Close)
 	key := mustKey(t, "flight")
 	var mu sync.Mutex
 	computes := 0

@@ -206,10 +206,10 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // submissions race the close.
 func (s *Server) Drain(ctx context.Context) error {
 	err := s.queue.Drain(ctx)
-	// Flush write-behind publishes after the backlog settles, so a SIGTERM
-	// drain leaves every computed result in the shared tier for the
-	// surviving replicas.
-	s.cache.FlushShared()
+	// Close the cache after the backlog settles: it waits for the
+	// write-behind publishes, so a SIGTERM drain leaves every computed
+	// result in the shared tier for the surviving replicas.
+	s.cache.Close()
 	return err
 }
 

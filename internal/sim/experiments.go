@@ -60,17 +60,6 @@ type Evaluation struct {
 	Results map[string]map[string]Result // scheme key → workload → result
 }
 
-// NewEvaluation runs the matrix for the given schemes and workloads; nil
-// slices mean "all". It is the uninterruptible form of EvaluationContext;
-// prefer New(...).Evaluate for new code.
-func NewEvaluation(class SystemClass, schemeKeys, workloads []string, opts ...Option) *Evaluation {
-	ev, err := EvaluationContext(context.Background(), class, schemeKeys, workloads, opts...)
-	if err != nil {
-		panic(err) // Background is never canceled
-	}
-	return ev
-}
-
 // EvaluationContext runs the (scheme × workload) matrix with cancellation;
 // nil slices mean "all". The cells are independent simulations, so they fan
 // out over a bounded worker pool (WithWorkers; default NumCPU) — each
@@ -285,18 +274,8 @@ type Fig9Row struct {
 	Bin2        bool
 }
 
-// Fig9Bandwidth characterizes the workloads on the dual-channel commercial
-// chipkill system, as the paper does. It is the uninterruptible form of
-// Fig9BandwidthContext.
-func Fig9Bandwidth(opts ...Option) []Fig9Row {
-	rows, err := Fig9BandwidthContext(context.Background(), opts...)
-	if err != nil {
-		panic(err) // Background is never canceled
-	}
-	return rows
-}
-
-// Fig9BandwidthContext characterizes the workloads with cancellation. The
+// Fig9BandwidthContext characterizes the workloads on the dual-channel
+// commercial chipkill system, as the paper does, with cancellation. The
 // sixteen per-workload simulations fan out over the worker pool
 // (WithWorkers), results in spec order; canceling ctx interrupts the
 // in-flight runs at the engine's checkpoint interval.
@@ -349,16 +328,6 @@ type Table3Row struct {
 	Config   string
 	Overhead float64
 	EOL      float64 // zero when not applicable
-}
-
-// Table3Capacity regenerates Table III. It is the uninterruptible form of
-// Table3CapacityContext.
-func Table3Capacity(mcTrials int, seed int64, workers int) []Table3Row {
-	rows, err := Table3CapacityContext(context.Background(), mcTrials, seed, workers)
-	if err != nil {
-		panic(err) // Background is never canceled
-	}
-	return rows
 }
 
 // Table3CapacityContext regenerates Table III with cancellation. The EOL
@@ -428,17 +397,8 @@ type Fig8Row struct {
 	P999     float64
 }
 
-// Fig8EOLFractions regenerates Fig. 8 across channel counts. It is the
-// uninterruptible form of Fig8EOLFractionsContext.
-func Fig8EOLFractions(trials int, seed int64, workers int) []Fig8Row {
-	rows, err := Fig8EOLFractionsContext(context.Background(), trials, seed, workers)
-	if err != nil {
-		panic(err) // Background is never canceled
-	}
-	return rows
-}
-
-// Fig8EOLFractionsContext regenerates Fig. 8 with cancellation; each
+// Fig8EOLFractionsContext regenerates Fig. 8 across channel counts, with
+// cancellation; each
 // channel count's Monte Carlo trials fan out over at most workers
 // goroutines (≤0 = NumCPU) with worker-count-invariant results.
 func Fig8EOLFractionsContext(ctx context.Context, trials int, seed int64, workers int) ([]Fig8Row, error) {

@@ -1,12 +1,12 @@
 package sim
 
-// This file is the unified, validated entry point to the engine. The two
-// historical entry points — Run(cfg) for one cell and NewEvaluation(...)
-// for a (scheme × workload) grid — both survive as thin shims, but new code
-// (internal/sim/report, and through it every CLI and the daemon) goes
-// through New: build a *Sim once from functional options, get typed
-// validation errors instead of panics, then Run or Evaluate it with a
-// context that can cancel the engine mid-run.
+// This file is the validated entry point to the engine for one cell or a
+// (scheme × workload) grid: build a *Sim once from functional options, get
+// typed validation errors instead of panics, then Run or Evaluate it with a
+// context that can cancel the engine mid-run. internal/sim/report, and
+// through it every CLI and the daemon, goes through it; RunContext and
+// EvaluationContext are the same engine for callers that already hold a
+// Config (trace replay sets Config.Sources directly).
 
 import (
 	"context"
@@ -56,16 +56,15 @@ func New(opts ...Option) (*Sim, error) {
 func (s *Sim) Config() Config { return s.cfg }
 
 // Run executes the configured single cell, which must have been selected
-// with WithCell (or WithSources for trace replay). Canceling ctx interrupts
-// the engine at its checkpoint interval (ctxCheckEvery iterations) and
-// returns ctx's error; a run that completes is byte-identical to the
-// uninterruptible Run(cfg).
+// with WithCell. Canceling ctx interrupts the engine at its checkpoint
+// interval (ctxCheckEvery iterations) and returns ctx's error; a run that
+// completes is byte-identical to RunContext on the same Config.
 func (s *Sim) Run(ctx context.Context) (Result, error) {
 	if s.cfg.Scheme.Base == nil {
 		return Result{}, &ConfigError{Field: "Scheme", Reason: "no cell selected (use WithCell)"}
 	}
-	if s.cfg.Workload.Name == "" && s.cfg.Sources == nil {
-		return Result{}, &ConfigError{Field: "Workload", Reason: "no workload selected (use WithCell or WithSources)"}
+	if s.cfg.Workload.Name == "" {
+		return Result{}, &ConfigError{Field: "Workload", Reason: "no workload selected (use WithCell)"}
 	}
 	return RunContext(ctx, s.cfg)
 }
@@ -99,12 +98,6 @@ func WithCell(schemeKey string, class SystemClass, workloadName string) Option {
 		c.Class = class
 		c.Workload = spec
 	}
-}
-
-// WithSources drives the cores from recorded access streams (trace replay)
-// instead of live generators; len(sources) must equal the core count.
-func WithSources(sources []workload.Source) Option {
-	return func(c *Config) { c.Sources = sources }
 }
 
 // validate rejects configurations the engine would otherwise panic on (or

@@ -7,7 +7,7 @@ import (
 )
 
 // TestNewValidCell checks the happy path: a Sim built from a known cell
-// runs to completion and produces the same Result as the legacy Run(cfg)
+// runs to completion and produces the same Result as the legacy mustRun(t, cfg)
 // entry point with an identical configuration.
 func TestNewValidCell(t *testing.T) {
 	s, err := New(
@@ -26,9 +26,9 @@ func TestNewValidCell(t *testing.T) {
 	cfg := DefaultConfig("chipkill18", QuadEq, "mcf")
 	cfg.MeasureCycles = 20000
 	cfg.WarmupAccesses = 2000
-	want := Run(cfg)
+	want := mustRun(t, cfg)
 	if got != want {
-		t.Fatalf("Sim.Run diverged from legacy Run:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("Sim.Run diverged from RunContext:\n got %+v\nwant %+v", got, want)
 	}
 }
 

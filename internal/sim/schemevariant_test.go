@@ -103,7 +103,7 @@ func TestNewSchemesRun(t *testing.T) {
 		t.Skip("full-system runs")
 	}
 	for _, key := range []string{"doublechipkill", "lotecc5rs", "raim18", "ondie-sec", "ondie+chipkill", "ondie+raim18"} {
-		r := Run(fastCfg(key, QuadEq, "lbm"))
+		r := mustRun(t, fastCfg(key, QuadEq, "lbm"))
 		if r.Instructions == 0 || r.EPI <= 0 {
 			t.Errorf("%s: degenerate run: %+v", key, r)
 		}

@@ -149,16 +149,6 @@ type engine struct {
 	heap  coreHeap
 }
 
-// Run executes one simulation deterministically. It is the uninterruptible
-// form of RunContext; prefer New(...).Run for new code.
-func Run(cfg Config) Result {
-	res, err := RunContext(context.Background(), cfg)
-	if err != nil {
-		panic(err) // Background is never canceled
-	}
-	return res
-}
-
 // ctxCheckEvery is the engine's cancellation checkpoint interval, in
 // simulation-loop iterations (must be a power of two). One iteration is one
 // memory access plus its cascade — well under a microsecond of host time —
@@ -169,9 +159,9 @@ const ctxCheckEvery = 1024
 
 // RunContext executes one simulation deterministically, polling ctx at a
 // bounded checkpoint interval (ctxCheckEvery loop iterations) during both
-// warmup and the measured window. A run that completes is byte-identical
-// to Run — the checkpoints only observe, never reorder — and a canceled
-// run returns ctx's error with a zero Result.
+// warmup and the measured window. The checkpoints only observe, never
+// reorder: a run that completes returns the same Result whatever ctx is,
+// and a canceled run returns ctx's error with a zero Result.
 func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	a := arenaPool.Get().(*Arena)
 	defer arenaPool.Put(a)
