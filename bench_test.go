@@ -477,19 +477,35 @@ func BenchmarkSweepThroughput(b *testing.B) {
 	})
 }
 
-// BenchmarkSingleRunHotPath times one sim.Run — the unit the hot-path
-// optimization work targets (indexed core heap, positional-LRU cache sets,
-// open-addressed inflight table, bus slot rings, tabulated GF multiplies).
-// -benchmem makes allocation regressions in the access path visible; pair
-// with -cpuprofile/-memprofile to see where a run's cycles go.
+// BenchmarkSingleRunHotPath times one sim.RunContext — the unit the
+// hot-path optimization work targets (indexed core heap, positional-LRU
+// cache sets, open-addressed inflight table, bus slot rings, tabulated GF
+// multiplies). Two arms: cold takes a fresh seed every iteration, so the
+// warm-state store never hits and every run pays its full warmup; warm
+// repeats one config, so after its second run each iteration restores the
+// warm state by copy. -benchmem makes allocation regressions in the access
+// path visible; pair with -cpuprofile/-memprofile to see where a run's
+// cycles go.
 func BenchmarkSingleRunHotPath(b *testing.B) {
 	cfg := sim.DefaultConfig("chipkill18", sim.QuadEq, "mcf")
 	cfg.MeasureCycles = 150000
 	cfg.WarmupAccesses = 20000
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		run(b, cfg)
-	}
+	seed := int64(1000)
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		c := cfg
+		for i := 0; i < b.N; i++ {
+			seed++
+			c.Seed = seed
+			run(b, c)
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			run(b, cfg)
+		}
+	})
 }
 
 // BenchmarkHarpProfile is the HARP-style profiling campaign added with the

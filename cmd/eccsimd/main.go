@@ -52,6 +52,26 @@ import (
 	"eccparity/internal/serve"
 )
 
+// Connection limits of the HTTP server. A client gets readHeaderTimeout to
+// send its request headers, and an idle keep-alive connection is closed
+// after idleTimeout, so slow or abandoned clients cannot pin connections
+// (and their goroutines) forever. Neither bounds a request in flight: a
+// long-poll or a large result body is not cut off.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the daemon's HTTP server with its connection limits.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // parseECGeometry parses the -blob-ec value: "k,m" with k ≥ 1 data shards
 // and m ≥ 1 parity shards. Range limits live in ec.New; this only enforces
 // the flag's shape.
@@ -177,7 +197,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
+	httpSrv := newHTTPServer(*addr, s.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -101,9 +101,14 @@ func (b *Backend) shardLen(plen int) int {
 	return (plen + b.k - 1) / b.k
 }
 
+// shardHead formats the stripe header line, newline included.
+func shardHead(k, m, idx, plen int, sum string) string {
+	return fmt.Sprintf("%s %d %d %d %d %s\n", shardMagic, k, m, idx, plen, sum)
+}
+
 // encodeShard wraps one shard's bytes in the stripe header.
 func encodeShard(k, m, idx, plen int, sum string, body []byte) []byte {
-	head := fmt.Sprintf("%s %d %d %d %d %s\n", shardMagic, k, m, idx, plen, sum)
+	head := shardHead(k, m, idx, plen, sum)
 	out := make([]byte, 0, len(head)+len(body))
 	out = append(out, head...)
 	return append(out, body...)
@@ -136,8 +141,14 @@ func decodeShard(raw []byte) (shardHeader, []byte, bool) {
 		return h, nil, false
 	}
 	var magic string
-	n, err := fmt.Sscanf(string(raw[:nl]), "%s %d %d %d %d %s", &magic, &h.k, &h.m, &h.idx, &h.plen, &h.sum)
+	head := string(raw[:nl])
+	n, err := fmt.Sscanf(head, "%s %d %d %d %d %s", &magic, &h.k, &h.m, &h.idx, &h.plen, &h.sum)
 	if err != nil || n != 6 || magic != shardMagic || h.plen < 0 || len(h.sum) != 64 {
+		return h, nil, false
+	}
+	// Accept only the exact header encodeShard writes: Sscanf alone also
+	// takes signs, leading zeros and trailing fields.
+	if head+"\n" != shardHead(h.k, h.m, h.idx, h.plen, h.sum) {
 		return h, nil, false
 	}
 	return h, raw[nl+1:], true

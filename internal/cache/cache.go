@@ -136,6 +136,69 @@ func (c *Cache) Reset() {
 	c.stats = Stats{}
 }
 
+// Snapshot is a compact copy of a cache's lines and counters. Valid ways
+// form a prefix of each set, so it stores only each set's prefix, back to
+// back, plus one fill count per set: a partly warmed cache snapshots in a
+// fraction of its key array.
+type Snapshot struct {
+	keys  []uint64
+	fill  []uint16
+	ways  int
+	stats Stats
+}
+
+// SaveTo copies the cache's lines and counters into s, reusing s's
+// buffers. Ways beyond 65535 do not fit a fill count; such a cache panics.
+func (c *Cache) SaveTo(s *Snapshot) {
+	if c.ways > 1<<16-1 {
+		panic(fmt.Sprintf("cache: %d ways do not fit a snapshot", c.ways))
+	}
+	nsets := len(c.keys) / c.ways
+	if cap(s.fill) < nsets {
+		s.fill = make([]uint16, nsets)
+	}
+	s.fill = s.fill[:nsets]
+	total := 0
+	for i := range s.fill {
+		set := c.keys[i*c.ways : (i+1)*c.ways]
+		n := 0
+		for n < len(set) && set[n] != 0 {
+			n++
+		}
+		s.fill[i] = uint16(n)
+		total += n
+	}
+	// Size the key buffer exactly, so a reused snapshot grows at most once.
+	if cap(s.keys) < total {
+		s.keys = make([]uint64, total)
+	}
+	s.keys = s.keys[:total]
+	dst := s.keys
+	for i, n := range s.fill {
+		base := i * c.ways
+		dst = dst[copy(dst, c.keys[base:base+int(n)]):]
+	}
+	s.ways = c.ways
+	s.stats = c.stats
+}
+
+// Restore overwrites the cache with the lines and counters s holds, the
+// exact state the cache was in at SaveTo. s must come from a cache of the
+// same geometry.
+func (c *Cache) Restore(s *Snapshot) {
+	if s.ways != c.ways || len(s.fill)*c.ways != len(c.keys) {
+		panic(fmt.Sprintf("cache: snapshot of %d×%d ways restored into %d×%d", len(s.fill), s.ways, len(c.keys)/c.ways, c.ways))
+	}
+	src := s.keys
+	for i, n := range s.fill {
+		set := c.keys[i*c.ways : (i+1)*c.ways]
+		copy(set, src[:n])
+		clear(set[n:])
+		src = src[n:]
+	}
+	c.stats = s.stats
+}
+
 // Stats returns the event counters.
 func (c *Cache) Stats() *Stats { return &c.stats }
 

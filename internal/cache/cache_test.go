@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -193,5 +194,74 @@ func TestAccessInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSnapshotRestore fills a cache part way, snapshots it, keeps using it,
+// restores, and checks the restored cache equals the snapshotted one in
+// lines, counters and every later access — also after the snapshot's
+// buffers are reused for a different state.
+func TestSnapshotRestore(t *testing.T) {
+	drive := func(c *Cache, seed uint64, n int) {
+		x := seed
+		for i := 0; i < n; i++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			c.Access((x>>20)%(1<<22)*64, Kind((x>>8)%3), x&1 == 0)
+		}
+	}
+	c := New(64<<10, 8, 64)
+	drive(c, 1, 600) // about half the 1024 lines: partial sets
+	ref := New(64<<10, 8, 64)
+	drive(ref, 1, 600)
+
+	var s Snapshot
+	c.SaveTo(&s)
+	if len(s.keys) >= len(c.keys) {
+		t.Fatalf("snapshot of a partly filled cache holds %d keys, want fewer than %d", len(s.keys), len(c.keys))
+	}
+	drive(c, 2, 5000)
+	c.Restore(&s)
+	if !slices.Equal(c.keys, ref.keys) || c.stats != ref.stats {
+		t.Fatal("restored cache differs from the snapshotted state")
+	}
+	drive(c, 3, 3000)
+	drive(ref, 3, 3000)
+	if !slices.Equal(c.keys, ref.keys) || c.stats != ref.stats {
+		t.Fatal("restored cache diverges from the original on later accesses")
+	}
+
+	// Reuse the buffers for a full cache, then for the partial one again.
+	full := New(64<<10, 8, 64)
+	drive(full, 4, 20000)
+	full.SaveTo(&s)
+	c.Restore(&s)
+	if !slices.Equal(c.keys, full.keys) || c.stats != full.stats {
+		t.Fatal("restore of a full cache through reused buffers differs")
+	}
+	ref.SaveTo(&s)
+	c.Restore(&s)
+	if !slices.Equal(c.keys, ref.keys) || c.stats != ref.stats {
+		t.Fatal("restore after shrinking the reused buffers differs")
+	}
+}
+
+func TestRestoreGeometryMismatchPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		from, to *Cache
+	}{
+		{"fewer sets", New(64<<10, 8, 64), New(32<<10, 8, 64)},
+		{"same sets, fewer ways", New(64<<10, 8, 64), New(32<<10, 4, 64)},
+	} {
+		var s Snapshot
+		tc.from.SaveTo(&s)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: restore into a different geometry did not panic", tc.name)
+				}
+			}()
+			tc.to.Restore(&s)
+		}()
 	}
 }

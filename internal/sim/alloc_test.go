@@ -21,8 +21,9 @@ func TestHandleAccessSteadyStateAllocs(t *testing.T) {
 	cfg := DefaultConfig("chipkill18", QuadEq, "mcf")
 	cfg.WarmupAccesses = 8000
 	cfg.MeasureCycles = 30000
-	e := NewArena().prepare(cfg)
-	if err := e.warmup(context.Background()); err != nil {
+	a := NewArena()
+	e := a.prepare(cfg)
+	if err := a.warmStart(context.Background(), e); err != nil {
 		t.Fatalf("warmup: %v", err)
 	}
 	if err := e.measure(context.Background()); err != nil {

@@ -30,6 +30,11 @@ import (
 // byte-identical to a run through a fresh one. The cross-scheme
 // interleaving test in arena_test.go and the golden CLI test pin this.
 //
+// The Arena also keeps a bounded store of post-warmup snapshots, so a run
+// whose warm state repeats an earlier one's restores it by copy instead of
+// re-warming (warm.go); the restored state is exactly what warmup would
+// have produced.
+//
 // An Arena is not safe for concurrent use; give each worker its own.
 type Arena struct {
 	e engine
@@ -39,6 +44,8 @@ type Arena struct {
 	// ready marks that e holds components from a previous prepare (the
 	// zero Arena must not try to reset nil structures).
 	ready bool
+	// warm holds post-warmup snapshots of earlier runs (see warm.go).
+	warm warmStore
 }
 
 // NewArena returns an empty Arena; the first run populates it.
@@ -52,7 +59,7 @@ func (a *Arena) RunContext(ctx context.Context, cfg Config) (Result, error) {
 		ctx = context.Background()
 	}
 	e := a.prepare(cfg)
-	if err := e.warmup(ctx); err != nil {
+	if err := a.warmStart(ctx, e); err != nil {
 		return Result{}, err
 	}
 	if err := e.measure(ctx); err != nil {
@@ -100,11 +107,12 @@ func (a *Arena) prepare(cfg Config) *engine {
 		e.ctrl = mem.NewController(mc)
 	}
 
+	// The LLC, the generators and lastMiss are sized here but filled by
+	// warmStart, which either restores them from a warm snapshot or resets
+	// them and runs warmup.
 	sameLLC := reuse && prev.LLCBytes == cfg.LLCBytes && prev.LLCWays == cfg.LLCWays &&
 		prev.Scheme.Base.Geometry().LineSize == g.LineSize
-	if sameLLC {
-		e.llc.Reset()
-	} else {
+	if !sameLLC {
 		e.llc = cache.New(cfg.LLCBytes, cfg.LLCWays, g.LineSize)
 	}
 
@@ -126,21 +134,14 @@ func (a *Arena) prepare(cfg Config) *engine {
 		copy(e.gens, cfg.Sources)
 	} else {
 		for len(a.genPool) < cfg.Cores {
-			a.genPool = append(a.genPool, nil)
+			a.genPool = append(a.genPool, new(workload.Generator))
 		}
 		for i := 0; i < cfg.Cores; i++ {
-			if a.genPool[i] == nil {
-				a.genPool[i] = workload.NewGenerator(cfg.Workload, i, cfg.Seed)
-			} else {
-				a.genPool[i].Reset(cfg.Workload, i, cfg.Seed)
-			}
 			e.gens[i] = a.genPool[i]
 		}
 	}
 
-	if len(e.lastMiss) == cfg.Cores {
-		clear(e.lastMiss)
-	} else {
+	if len(e.lastMiss) != cfg.Cores {
 		e.lastMiss = make([]uint64, cfg.Cores)
 	}
 
@@ -177,6 +178,18 @@ func (a *Arena) prepare(cfg Config) *engine {
 		e.marked[ch][idx] = true
 	}
 	return e
+}
+
+// coldStart returns the state warmup reads and writes — the LLC, the
+// live generators and lastMiss — to what a fresh engine starts from.
+func (a *Arena) coldStart(e *engine) {
+	e.llc.Reset()
+	if e.cfg.Sources == nil {
+		for i := 0; i < e.cfg.Cores; i++ {
+			a.genPool[i].Reset(e.cfg.Workload, i, e.cfg.Seed)
+		}
+	}
+	clear(e.lastMiss)
 }
 
 // arenaPool backs the package-level Run/RunContext entry points, so even

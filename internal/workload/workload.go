@@ -8,10 +8,7 @@
 // Bin2 (higher-bandwidth) split is preserved.
 package workload
 
-import (
-	"math/rand"
-	"sort"
-)
+import "sort"
 
 // Spec declares one benchmark's memory behaviour.
 type Spec struct {
@@ -113,10 +110,13 @@ type Access struct {
 // LineBytes is the generator's addressing granularity (one L1 block).
 const LineBytes = 64
 
-// Generator produces a deterministic access stream for one core.
+// Generator produces a deterministic access stream for one core. Its whole
+// state is held by value, so assigning one Generator to another copies the
+// stream position: the copy emits exactly what the original would next.
+// The engine (internal/sim) checkpoints warmed-up generators this way.
 type Generator struct {
 	spec    Spec
-	rng     *rand.Rand
+	rng     rngSource
 	base    uint64 // address-space offset of this instance
 	lines   uint64 // working-set size in 64B lines
 	cur     uint64 // current line within the working set
@@ -127,7 +127,7 @@ type Generator struct {
 // address spaces (base separated per core); PARSEC threads share base 0 and
 // interleave over a common working set.
 func NewGenerator(spec Spec, core int, seed int64) *Generator {
-	g := &Generator{rng: rand.New(rand.NewSource(0))}
+	g := new(Generator)
 	g.Reset(spec, core, seed)
 	return g
 }
@@ -136,7 +136,7 @@ func NewGenerator(spec Spec, core int, seed int64) *Generator {
 // NewGenerator(spec, core, seed) would produce, re-seeding the existing
 // random source instead of allocating a new one. It is how the engine
 // arena (internal/sim) reuses generators across runs without changing the
-// emitted stream.
+// emitted stream. The zero Generator is valid only after a Reset.
 func (g *Generator) Reset(spec Spec, core int, seed int64) {
 	base := uint64(0)
 	if !spec.Parsec {
@@ -148,29 +148,29 @@ func (g *Generator) Reset(spec Spec, core int, seed int64) {
 		lines = 1
 	}
 	g.spec = spec
-	g.rng.Seed(seed ^ int64(core)*1000003)
+	g.rng.seed(seed ^ int64(core)*1000003)
 	g.base = base
 	g.lines = lines
 	g.meanGap = 1000 / spec.APKI
-	g.cur = uint64(g.rng.Int63n(int64(lines)))
+	g.cur = uint64(g.rng.int63n(int64(lines)))
 }
 
 // Next emits the next access.
 func (g *Generator) Next() Access {
 	// Exponentially distributed instruction gap with the spec's mean
 	// (memoryless compute bursts between accesses).
-	gap := int(g.rng.ExpFloat64()*g.meanGap) + 1
+	gap := int(g.rng.expFloat64()*g.meanGap) + 1
 	if gap > 100000 {
 		gap = 100000
 	}
-	if g.rng.Float64() < g.spec.Seq {
+	if g.rng.float64() < g.spec.Seq {
 		g.cur = (g.cur + 1) % g.lines
 	} else {
-		g.cur = uint64(g.rng.Int63n(int64(g.lines)))
+		g.cur = uint64(g.rng.int63n(int64(g.lines)))
 	}
 	return Access{
 		InstrGap: gap,
 		Addr:     g.base + g.cur*LineBytes,
-		Write:    g.rng.Float64() < g.spec.WriteFrac,
+		Write:    g.rng.float64() < g.spec.WriteFrac,
 	}
 }
