@@ -480,12 +480,15 @@ func BenchmarkSweepThroughput(b *testing.B) {
 // BenchmarkSingleRunHotPath times one sim.RunContext — the unit the
 // hot-path optimization work targets (indexed core heap, positional-LRU
 // cache sets, open-addressed inflight table, bus slot rings, tabulated GF
-// multiplies). Two arms: cold takes a fresh seed every iteration, so the
-// warm-state store never hits and every run pays its full warmup; warm
-// repeats one config, so after its second run each iteration restores the
-// warm state by copy. -benchmem makes allocation regressions in the access
-// path visible; pair with -cpuprofile/-memprofile to see where a run's
-// cycles go.
+// multiplies). Three arms: cold takes a fresh seed every iteration, so the
+// checkpoint store never hits and every run pays its full warmup and
+// window; warm repeats one config, so after its second run each iteration
+// restores the end of the previous window and simulates nothing; resume
+// grows one config's budget by 2000 cycles per iteration, as a cycles
+// sweep does, so each iteration resumes from the previous one's window and
+// simulates only the 2000 new cycles. -benchmem makes allocation
+// regressions in the access path visible; pair with
+// -cpuprofile/-memprofile to see where a run's cycles go.
 func BenchmarkSingleRunHotPath(b *testing.B) {
 	cfg := sim.DefaultConfig("chipkill18", sim.QuadEq, "mcf")
 	cfg.MeasureCycles = 150000
@@ -504,6 +507,16 @@ func BenchmarkSingleRunHotPath(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			run(b, cfg)
+		}
+	})
+	b.Run("resume", func(b *testing.B) {
+		b.ReportAllocs()
+		seed++
+		c := cfg
+		c.Seed = seed
+		for i := 0; i < b.N; i++ {
+			c.MeasureCycles += 2000
+			run(b, c)
 		}
 	})
 }

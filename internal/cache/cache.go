@@ -307,3 +307,6 @@ func (c *Cache) FlushDirty(fn func(Evicted)) {
 		}
 	}
 }
+
+// Footprint returns the bytes the snapshot's buffers hold.
+func (s *Snapshot) Footprint() int { return 8*cap(s.keys) + 2*cap(s.fill) }

@@ -177,3 +177,11 @@ func (c *Core) Drain() {
 		c.n = 0
 	}
 }
+
+// CopyFrom makes c an exact copy of src, its miss ring included, reusing
+// c's ring when it is large enough. The zero Core is a valid destination.
+func (c *Core) CopyFrom(src *Core) {
+	out := append(c.out[:0], src.out...)
+	*c = *src
+	c.out = out
+}

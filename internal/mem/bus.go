@@ -122,3 +122,11 @@ func (b *busAllocator) retire(floor int64) {
 	}
 	b.base = floor
 }
+
+// copyFrom makes b an exact copy of src, ring capacity included, reusing
+// b's ring when it is large enough.
+func (b *busAllocator) copyFrom(src *busAllocator) {
+	next := append(b.next[:0], src.next...)
+	*b = *src
+	b.next = next
+}

@@ -474,3 +474,54 @@ func (s *Stats) AvgReadLatency() float64 {
 	}
 	return s.ReadLatencySum / float64(s.ReadLatencyCount)
 }
+
+// CopyFrom makes c an exact copy of src: configuration, counters, energy
+// coefficients and every scheduling register, bus rings included at their
+// own capacity. It reuses c's arrays where they are large enough, so a
+// controller kept as a checkpoint costs no allocation once warm. A
+// controller restored this way continues exactly as src would.
+func (c *Controller) CopyFrom(src *Controller) {
+	bankBusy, openRow, bus, ranks := c.bankBusy, c.openRow, c.bus, c.ranks
+	lastActs, lastWrEnd, nextRefr := c.lastActs, c.lastWrEnd, c.nextRefr
+	*c = *src
+	c.bankBusy = copyRows(bankBusy, src.bankBusy)
+	c.openRow = copyRows(openRow, src.openRow)
+	c.ranks = copyRows(ranks, src.ranks)
+	c.lastActs = copyRows(lastActs, src.lastActs)
+	c.lastWrEnd = copyRows(lastWrEnd, src.lastWrEnd)
+	c.nextRefr = copyRows(nextRefr, src.nextRefr)
+	if len(bus) != len(src.bus) {
+		bus = make([]*busAllocator, len(src.bus))
+	}
+	for i, b := range src.bus {
+		if bus[i] == nil {
+			bus[i] = new(busAllocator)
+		}
+		bus[i].copyFrom(b)
+	}
+	c.bus = bus
+}
+
+// Footprint approximates the bytes of state CopyFrom copies.
+func (c *Controller) Footprint() int {
+	n := 0
+	for ch := range c.bankBusy {
+		n += 8*len(c.bankBusy[ch]) + 8*len(c.openRow[ch]) + 24*len(c.ranks[ch]) +
+			40*len(c.lastActs[ch]) + 16*len(c.nextRefr[ch])
+	}
+	for _, b := range c.bus {
+		n += 8 * len(b.next)
+	}
+	return n
+}
+
+// copyRows copies a per-channel table into dst's rows, reusing them.
+func copyRows[T any](dst, src [][]T) [][]T {
+	if len(dst) != len(src) {
+		dst = make([][]T, len(src))
+	}
+	for i, row := range src {
+		dst[i] = append(dst[i][:0], row...)
+	}
+	return dst
+}

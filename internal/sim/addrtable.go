@@ -23,18 +23,16 @@ func newAddrTable() *addrTable {
 	return t
 }
 
-// reset returns the table to the exact post-newAddrTable state. A grown
-// table is shrunk back to the initial capacity on purpose: pruneBelow's
-// leftover-stale-entry behaviour depends on the capacity at prune time, so
-// a reused table must retrace a fresh table's growth trajectory for a
-// rerun to stay bit-identical.
+// reset empties the table for a new run, keeping any grown capacity.
+// Capacity never changes a result: it decides only when pruneBelow leaves
+// a stale entry behind (backward shifts can slide one behind its cursor)
+// and when the next prune fires. A stale entry holds a fill that landed at
+// or before the slowest core's clock, so a take of it still ends in a plain
+// hit, exactly as if it had been pruned; and pruning only ever drops such
+// entries.
 func (t *addrTable) reset() {
-	if len(t.keys) != addrTableInitial {
-		t.init(addrTableInitial)
-	} else {
-		clear(t.keys)
-		clear(t.vals)
-	}
+	clear(t.keys)
+	clear(t.vals)
 	t.live = 0
 }
 
@@ -146,4 +144,13 @@ func (t *addrTable) grow() {
 			t.put(k, oldV[i])
 		}
 	}
+}
+
+// copyFrom makes t an exact copy of src at src's capacity, reusing t's
+// buffers when they are large enough.
+func (t *addrTable) copyFrom(src *addrTable) {
+	keys := append(t.keys[:0], src.keys...)
+	vals := append(t.vals[:0], src.vals...)
+	*t = *src
+	t.keys, t.vals = keys, vals
 }

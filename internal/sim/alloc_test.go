@@ -26,7 +26,7 @@ func TestHandleAccessSteadyStateAllocs(t *testing.T) {
 	if err := a.warmStart(context.Background(), e); err != nil {
 		t.Fatalf("warmup: %v", err)
 	}
-	if err := e.measure(context.Background()); err != nil {
+	if _, err := e.measure(context.Background(), 0); err != nil {
 		t.Fatalf("measure: %v", err)
 	}
 	// Deeper into steady state: grow-once structures stop growing.

@@ -24,16 +24,17 @@ import (
 // (see config.go).
 //
 // Reuse never changes results: every reset restores the exact
-// post-construction state a fresh engine would start from (the in-flight
-// table even shrinks back to its initial capacity, because its pruning
-// behaviour is capacity-dependent), so a run through a used Arena is
-// byte-identical to a run through a fresh one. The cross-scheme
-// interleaving test in arena_test.go and the golden CLI test pin this.
+// post-construction state a fresh engine would start from, up to capacity
+// that no result depends on (the bus rings and the in-flight table keep
+// their grown sizes), so a run through a used Arena is byte-identical to a
+// run through a fresh one. The cross-scheme interleaving test in
+// arena_test.go and the golden CLI test pin this.
 //
-// The Arena also keeps a bounded store of post-warmup snapshots, so a run
-// whose warm state repeats an earlier one's restores it by copy instead of
-// re-warming (warm.go); the restored state is exactly what warmup would
-// have produced.
+// The Arena also keeps a bounded store of engine checkpoints (warm.go): a
+// run whose warm state repeats an earlier one's restores it by copy
+// instead of re-warming, and a run whose configuration repeats an earlier,
+// shorter run's resumes from where that run's measured window ended. The
+// restored state is exactly what simulating would have produced.
 //
 // An Arena is not safe for concurrent use; give each worker its own.
 type Arena struct {
@@ -44,8 +45,8 @@ type Arena struct {
 	// ready marks that e holds components from a previous prepare (the
 	// zero Arena must not try to reset nil structures).
 	ready bool
-	// warm holds post-warmup snapshots of earlier runs (see warm.go).
-	warm warmStore
+	// store holds checkpoints of earlier runs (see warm.go).
+	store snapStore
 }
 
 // NewArena returns an empty Arena; the first run populates it.
@@ -53,18 +54,36 @@ func NewArena() *Arena { return &Arena{} }
 
 // RunContext executes one simulation point exactly like the package-level
 // RunContext — same determinism, same cancellation checkpoints — reusing
-// the Arena's pooled engine state.
+// the Arena's pooled engine state and checkpoints. A completed run whose
+// configuration has been run before stores its state at the end of its
+// measured window, before the controller closes its energy integration; a
+// canceled run stores nothing.
 func (a *Arena) RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	e := a.prepare(cfg)
-	if err := a.warmStart(ctx, e); err != nil {
+	k, ok := runKeyOf(&cfg)
+	var from *snap
+	if ok {
+		from = a.store.checkpoint(&k, cfg.MeasureCycles)
+	}
+	lastRelease := 0.0
+	if from != nil {
+		lastRelease = a.resume(e, from)
+	} else if err := a.warmStart(ctx, e); err != nil {
 		return Result{}, err
 	}
-	if err := e.measure(ctx); err != nil {
+	lastRelease, err := e.measure(ctx, lastRelease)
+	if err != nil {
 		return Result{}, err
 	}
+	// A resumed run moves its checkpoint forward unless it ended where the
+	// checkpoint did; a cold run stores one on its key's second sighting.
+	if ok && (from != nil && from.budget < cfg.MeasureCycles || from == nil && sightings.sighted(k.hash())) {
+		a.saveCheckpoint(e, &k, lastRelease, from)
+	}
+	e.ctrl.Finish(cfg.MeasureCycles)
 	return e.collect(), nil
 }
 
@@ -109,7 +128,7 @@ func (a *Arena) prepare(cfg Config) *engine {
 
 	// The LLC, the generators and lastMiss are sized here but filled by
 	// warmStart, which either restores them from a warm snapshot or resets
-	// them and runs warmup.
+	// them and runs warmup, or by resume from a checkpoint.
 	sameLLC := reuse && prev.LLCBytes == cfg.LLCBytes && prev.LLCWays == cfg.LLCWays &&
 		prev.Scheme.Base.Geometry().LineSize == g.LineSize
 	if !sameLLC {

@@ -1,18 +1,16 @@
 package sim
 
-// This file is the validated entry point to the engine for one cell or a
-// (scheme × workload) grid: build a *Sim once from functional options, get
-// typed validation errors instead of panics, then Run or Evaluate it with a
-// context that can cancel the engine mid-run. internal/sim/report, and
-// through it every CLI and the daemon, goes through it; RunContext and
-// EvaluationContext are the same engine for callers that already hold a
-// Config (trace replay sets Config.Sources directly).
+// This file is the validated entry point to the engine for a (scheme ×
+// workload) grid: build a *Sim once from functional options, get typed
+// validation errors instead of panics, then Evaluate it with a context that
+// can cancel the engine mid-run. internal/sim/report, and through it every
+// CLI and the daemon, goes through it; RunContext is the engine's one
+// entry point for a single Config (trace replay sets Config.Sources
+// directly).
 
 import (
 	"context"
 	"fmt"
-
-	"eccparity/internal/workload"
 )
 
 // ConfigError is the typed validation error of New: one field, one reason.
@@ -29,8 +27,8 @@ func (e *ConfigError) Error() string {
 }
 
 // Sim is a validated simulation configuration. It is immutable after New
-// and safe to share: Run and Evaluate copy the config per call, so one Sim
-// can drive concurrent runs.
+// and safe to share: Evaluate copies the config per call, so one Sim can
+// drive concurrent runs.
 type Sim struct {
 	cfg  Config
 	opts []Option
@@ -39,8 +37,7 @@ type Sim struct {
 // New builds a Sim from the standard evaluation budget (baseConfig: eight
 // cores, 8MB/16-way LLC, 400k measured cycles, 60k warmup accesses, seed 1)
 // with the options applied, validating the result. It returns a
-// *ConfigError — never panics — on an invalid combination, including
-// options that themselves failed to apply (WithCell with an unknown key).
+// *ConfigError — never panics — on an invalid combination.
 func New(opts ...Option) (*Sim, error) {
 	cfg := baseConfig()
 	for _, o := range opts {
@@ -55,57 +52,17 @@ func New(opts ...Option) (*Sim, error) {
 // Config returns a copy of the validated configuration.
 func (s *Sim) Config() Config { return s.cfg }
 
-// Run executes the configured single cell, which must have been selected
-// with WithCell. Canceling ctx interrupts the engine at its checkpoint
-// interval (ctxCheckEvery iterations) and returns ctx's error; a run that
-// completes is byte-identical to RunContext on the same Config.
-func (s *Sim) Run(ctx context.Context) (Result, error) {
-	if s.cfg.Scheme.Base == nil {
-		return Result{}, &ConfigError{Field: "Scheme", Reason: "no cell selected (use WithCell)"}
-	}
-	if s.cfg.Workload.Name == "" {
-		return Result{}, &ConfigError{Field: "Workload", Reason: "no workload selected (use WithCell)"}
-	}
-	return RunContext(ctx, s.cfg)
-}
-
 // Evaluate runs the (scheme × workload) matrix for a system class with the
 // Sim's options; nil slices mean "all". Cells fan out over the worker pool
 // (WithWorkers) with worker-count-invariant results; canceling ctx
-// interrupts the in-flight cells at the engine's checkpoint interval. A
-// cell selected with WithCell is ignored here — the grid enumerates its own
-// cells.
+// interrupts the in-flight cells at the engine's checkpoint interval.
 func (s *Sim) Evaluate(ctx context.Context, class SystemClass, schemeKeys, workloads []string) (*Evaluation, error) {
 	return EvaluationContext(ctx, class, schemeKeys, workloads, s.opts...)
-}
-
-// WithCell selects the single (scheme, class, workload) cell that Run
-// executes. Unknown scheme keys or workload names surface as a ConfigError
-// from New instead of a panic.
-func WithCell(schemeKey string, class SystemClass, workloadName string) Option {
-	return func(c *Config) {
-		sc, ok := Schemes()[schemeKey]
-		if !ok {
-			c.optErr = &ConfigError{Field: "Scheme", Reason: fmt.Sprintf("unknown scheme key %q", schemeKey)}
-			return
-		}
-		spec, ok := workload.ByName(workloadName)
-		if !ok {
-			c.optErr = &ConfigError{Field: "Workload", Reason: fmt.Sprintf("unknown workload %q", workloadName)}
-			return
-		}
-		c.Scheme = sc
-		c.Class = class
-		c.Workload = spec
-	}
 }
 
 // validate rejects configurations the engine would otherwise panic on (or
 // silently mis-simulate), with one typed error per field.
 func (c *Config) validate() error {
-	if c.optErr != nil {
-		return c.optErr
-	}
 	switch {
 	case c.MeasureCycles <= 0:
 		return &ConfigError{Field: "MeasureCycles", Reason: fmt.Sprintf("must be > 0 (got %g)", c.MeasureCycles)}

@@ -6,44 +6,17 @@ import (
 	"testing"
 )
 
-// TestNewValidCell checks the happy path: a Sim built from a known cell
-// runs to completion and produces the same Result as the legacy mustRun(t, cfg)
-// entry point with an identical configuration.
-func TestNewValidCell(t *testing.T) {
-	s, err := New(
-		WithCell("chipkill18", QuadEq, "mcf"),
-		WithCycles(20000),
-		WithWarmup(2000),
-	)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	got, err := s.Run(context.Background())
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-
-	cfg := DefaultConfig("chipkill18", QuadEq, "mcf")
-	cfg.MeasureCycles = 20000
-	cfg.WarmupAccesses = 2000
-	want := mustRun(t, cfg)
-	if got != want {
-		t.Fatalf("Sim.Run diverged from RunContext:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// TestNewRejectsUnknownCell checks that a failed option surfaces from New
-// as a typed *ConfigError instead of the panic the legacy path raised.
+// TestNewRejectsUnknownCell checks that an option that leaves the
+// configuration invalid surfaces from New as a typed *ConfigError instead
+// of a panic in the engine.
 func TestNewRejectsUnknownCell(t *testing.T) {
 	cases := []struct {
 		name  string
 		opts  []Option
 		field string
 	}{
-		{"unknown scheme", []Option{WithCell("nope", QuadEq, "mcf")}, "Scheme"},
-		{"unknown workload", []Option{WithCell("chipkill18", QuadEq, "nope")}, "Workload"},
-		{"zero cycles", []Option{WithCell("chipkill18", QuadEq, "mcf"), WithCycles(0)}, "MeasureCycles"},
-		{"negative warmup", []Option{WithCell("chipkill18", QuadEq, "mcf"), WithWarmup(-1)}, "WarmupAccesses"},
+		{"zero cycles", []Option{WithCycles(0)}, "MeasureCycles"},
+		{"negative warmup", []Option{WithWarmup(-1)}, "WarmupAccesses"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -56,18 +29,6 @@ func TestNewRejectsUnknownCell(t *testing.T) {
 				t.Fatalf("ConfigError.Field = %q, want %q", ce.Field, tc.field)
 			}
 		})
-	}
-}
-
-// TestNewRunWithoutCell checks that Run on a Sim with no cell selected
-// fails with a ConfigError rather than dereferencing a nil scheme.
-func TestNewRunWithoutCell(t *testing.T) {
-	s, err := New()
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if _, err := s.Run(context.Background()); err == nil {
-		t.Fatal("Run without a cell succeeded, want ConfigError")
 	}
 }
 

@@ -63,10 +63,6 @@ type Config struct {
 	// grid runners, one step per completed simulation cell (the CLIs pass
 	// os.Stderr so stdout stays byte-identical at any worker count).
 	ProgressW io.Writer
-
-	// optErr records the first Option that failed to apply (e.g. WithCell
-	// with an unknown scheme key); New surfaces it as the validation error.
-	optErr error
 }
 
 // baseConfig is the standard evaluation budget every entry point starts
@@ -191,7 +187,13 @@ func (e *engine) warmup(ctx context.Context) error {
 // another retirement sweep of the bus rings.
 const releaseStride = 2048.0
 
-func (e *engine) measure(ctx context.Context) error {
+// measure runs the measured window from the engine's current state up to
+// MeasureCycles, starting from the given lastRelease (0 for a fresh
+// window, a checkpoint's for a resumed one), and returns the lastRelease
+// it ends with. It stops just before the controller's Finish, which the
+// caller runs, so the state it leaves is the state a longer window of the
+// same run passes through.
+func (e *engine) measure(ctx context.Context, lastRelease float64) (float64, error) {
 	budget := e.cfg.MeasureCycles
 	scrubbing := e.cfg.ScrubLineInterval > 0
 	nextScrub := e.cfg.ScrubLineInterval
@@ -213,14 +215,13 @@ func (e *engine) measure(ctx context.Context) error {
 	}
 	e.heap.reset(times)
 	h := &e.heap
-	lastRelease := 0.0
 
 	for iter := 0; ; iter++ {
 		// Cancellation checkpoint: bounded to ctxCheckEvery iterations so a
 		// cancel interrupts mid-run, not at budget exhaustion.
 		if iter&(ctxCheckEvery-1) == 0 {
 			if err := ctx.Err(); err != nil {
-				return err
+				return 0, err
 			}
 		}
 		// Scrubber reads proceed at their own fixed rate.
@@ -260,8 +261,7 @@ func (e *engine) measure(ctx context.Context) error {
 		}
 		h.fixMin(nt)
 	}
-	e.ctrl.Finish(budget)
-	return nil
+	return lastRelease, nil
 }
 
 // handleAccess performs one LLC access with the full eviction and
